@@ -803,11 +803,16 @@ int cmd_loadgen(const Args& args) {
   } else {
     std::printf("%s", report.text().c_str());
   }
-  if (cfg.chaos && !(report.accounting_ok && report.all_healthy)) {
+  if (cfg.chaos && !(report.accounting_ok && report.all_healthy &&
+                     report.recovered_samples > 0)) {
     // The drill's contract: every session accounted for, every surviving
-    // shard healthy again. Either miss is a failed drill.
-    std::fprintf(stderr, "chaos drill FAILED: accounting_ok=%d all_healthy=%d\n",
-                 report.accounting_ok ? 1 : 0, report.all_healthy ? 1 : 0);
+    // shard healthy again, and a post-recovery tail to show for it. Any miss
+    // is a failed drill.
+    std::fprintf(stderr,
+                 "chaos drill FAILED: accounting_ok=%d all_healthy=%d "
+                 "recovered_samples=%zu\n",
+                 report.accounting_ok ? 1 : 0, report.all_healthy ? 1 : 0,
+                 report.recovered_samples);
     return 1;
   }
   if (!report.accounting_ok) {

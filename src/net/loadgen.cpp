@@ -271,64 +271,69 @@ LoadReport run_loadgen(const LoadGenConfig& config) {
   std::vector<std::vector<Record>> per_worker(config.concurrency);
   const auto t0 = Clock::now();
 
+  // One session, start to terminal outcome, on `client` (dialled on demand,
+  // dropped after a transport failure so the next session reconnects).
+  const auto run_one = [&](std::size_t i, std::unique_ptr<NetClient>& client) {
+    Record record;
+    // Tag before the try so a thrown dial still lands in the right per-type
+    // bucket. Recovery top-up sessions (i >= sessions) cycle the schedule.
+    record.workload = workloads[i % workloads.size()];
+    const auto scheduled =
+        config.open_loop && i < config.sessions
+            ? t0 + std::chrono::duration_cast<Clock::duration>(
+                       std::chrono::duration<double>(arrivals[i]))
+            : Clock::now();
+    if (config.open_loop) std::this_thread::sleep_until(scheduled);
+    try {
+      if (!client)
+        client = std::make_unique<NetClient>(config.host, config.port,
+                                             config.connect_timeout_ms,
+                                             config.read_timeout_ms);
+      const bool absorbance = record.workload != 0;
+      SessionOptions options;
+      options.session_id = i + 1;
+      options.chunk_samples = config.chunk_samples;
+      // Pacing models audio capture cadence; a 64-bin curve arrives whole.
+      options.chunk_period_s = absorbance ? 0.0 : chunk_period_s;
+      options.deadline_ms = config.deadline_ms;
+      options.workload = record.workload;
+      const audio::Waveform& payload =
+          absorbance ? absorbance_population[i % absorbance_population.size()]
+                     : population[i % population.size()];
+      SessionOutcome outcome;
+      if (config.max_attempts > 1) {
+        RetryPolicy policy;
+        policy.max_attempts = config.max_attempts;
+        policy.budget_ms = config.retry_budget_ms;
+        policy.seed = config.seed;
+        outcome = client->run_session_with_retry(payload, options, policy);
+      } else {
+        outcome = client->run_session(payload, options);
+      }
+      record.kind = outcome.kind;
+      record.code = outcome.code;
+      record.attempts = outcome.attempts;
+      if (outcome.kind == SessionOutcome::Kind::kTransport)
+        client.reset();  // the connection is dead; reconnect for the next
+    } catch (const std::exception&) {
+      record.kind = SessionOutcome::Kind::kTransport;
+      client.reset();
+    }
+    // Open loop: latency counts from the *scheduled* arrival so time spent
+    // waiting for a free worker is charged, not silently omitted.
+    record.finished = Clock::now();
+    record.latency_ms =
+        std::chrono::duration<double, std::milli>(record.finished - scheduled)
+            .count();
+    return record;
+  };
+
   const auto worker = [&](std::size_t worker_index) {
-    std::vector<Record>& records = per_worker[worker_index];
     std::unique_ptr<NetClient> client;
     for (;;) {
       const std::size_t i = next.fetch_add(1);
       if (i >= config.sessions) break;
-      Record record;
-      // Tag before the try so a thrown dial still lands in the right
-      // per-type bucket.
-      record.workload = workloads[i];
-      const auto scheduled =
-          config.open_loop
-              ? t0 + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(arrivals[i]))
-              : Clock::now();
-      if (config.open_loop) std::this_thread::sleep_until(scheduled);
-      try {
-        if (!client)
-          client = std::make_unique<NetClient>(config.host, config.port,
-                                               config.connect_timeout_ms,
-                                               config.read_timeout_ms);
-        const bool absorbance = workloads[i] != 0;
-        SessionOptions options;
-        options.session_id = i + 1;
-        options.chunk_samples = config.chunk_samples;
-        // Pacing models audio capture cadence; a 64-bin curve arrives whole.
-        options.chunk_period_s = absorbance ? 0.0 : chunk_period_s;
-        options.deadline_ms = config.deadline_ms;
-        options.workload = workloads[i];
-        const audio::Waveform& payload =
-            absorbance ? absorbance_population[i % absorbance_population.size()]
-                       : population[i % population.size()];
-        SessionOutcome outcome;
-        if (config.max_attempts > 1) {
-          RetryPolicy policy;
-          policy.max_attempts = config.max_attempts;
-          policy.budget_ms = config.retry_budget_ms;
-          policy.seed = config.seed;
-          outcome = client->run_session_with_retry(payload, options, policy);
-        } else {
-          outcome = client->run_session(payload, options);
-        }
-        record.kind = outcome.kind;
-        record.code = outcome.code;
-        record.attempts = outcome.attempts;
-        if (outcome.kind == SessionOutcome::Kind::kTransport)
-          client.reset();  // the connection is dead; reconnect for the next
-      } catch (const std::exception&) {
-        record.kind = SessionOutcome::Kind::kTransport;
-        client.reset();
-      }
-      // Open loop: latency counts from the *scheduled* arrival so time spent
-      // waiting for a free worker is charged, not silently omitted.
-      record.finished = Clock::now();
-      record.latency_ms =
-          std::chrono::duration<double, std::milli>(record.finished - scheduled)
-              .count();
-      records.push_back(record);
+      per_worker[worker_index].push_back(run_one(i, client));
     }
   };
 
@@ -345,8 +350,34 @@ LoadReport run_loadgen(const LoadGenConfig& config) {
   for (std::thread& thread : threads) thread.join();
   if (chaos_thread.joinable()) chaos_thread.join();
 
+  // Post-recovery tail: a completion counts once the pool has converged (any
+  // completion when no chaos ran). When the pool converged after most of
+  // the replay had finished, top the drill up with extra sessions until the
+  // tail has kMinRecoveredSamples behind it — or the top-up cap runs out,
+  // leaving recovered_samples short for the caller to fail on.
+  const auto recovered = [&](const Record& record) {
+    return record.kind == SessionOutcome::Kind::kResult &&
+           (!config.chaos || (chaos_out.have_recovered_at &&
+                              record.finished >= chaos_out.recovered_at));
+  };
+  std::size_t recovery_sessions = 0;
+  if (config.chaos && chaos_out.have_recovered_at) {
+    std::size_t samples = 0;
+    for (const std::vector<Record>& records : per_worker)
+      samples += static_cast<std::size_t>(
+          std::count_if(records.begin(), records.end(), recovered));
+    std::unique_ptr<NetClient> client;
+    while (samples < kMinRecoveredSamples &&
+           recovery_sessions < kMaxRecoverySessions) {
+      per_worker.front().push_back(
+          run_one(config.sessions + recovery_sessions++, client));
+      if (recovered(per_worker.front().back())) ++samples;
+    }
+  }
+
   LoadReport report;
   report.wall_s = std::chrono::duration<double>(Clock::now() - t0).count();
+  report.recovery_sessions = recovery_sessions;
   std::vector<double> completed_latencies;
   std::vector<double> recovered_latencies;
   for (const std::vector<Record>& records : per_worker) {
@@ -355,10 +386,7 @@ LoadReport run_loadgen(const LoadGenConfig& config) {
       report.retry_attempts += record.attempts - 1;
       WorkloadLoad& slice = report.per_workload[record.workload % 2];
       ++slice.attempted;
-      if (record.kind == SessionOutcome::Kind::kResult &&
-          (!chaos_out.have_recovered_at ||
-           record.finished >= chaos_out.recovered_at))
-        recovered_latencies.push_back(record.latency_ms);
+      if (recovered(record)) recovered_latencies.push_back(record.latency_ms);
       switch (record.kind) {
         case SessionOutcome::Kind::kResult:
           ++report.admitted;
@@ -401,6 +429,7 @@ LoadReport run_loadgen(const LoadGenConfig& config) {
                       : completed_latencies.back();
   std::sort(recovered_latencies.begin(), recovered_latencies.end());
   report.p99_recovered_ms = percentile(recovered_latencies, 0.99);
+  report.recovered_samples = recovered_latencies.size();
 
   report.chaos_events_fired = chaos_out.events_fired;
   report.recovery_ms = chaos_out.recovery_ms;
@@ -409,7 +438,7 @@ LoadReport run_loadgen(const LoadGenConfig& config) {
   // latency evidence at all — treat it as an accounting failure so degenerate
   // chaos runs exit nonzero instead of reporting a null-latency "success".
   report.accounting_ok =
-      report.attempted == config.sessions &&
+      report.attempted == config.sessions + report.recovery_sessions &&
       report.attempted == report.completed + report.rejected + report.errored +
                               report.transport_failures &&
       !(report.completed == 0 && report.attempted > 0);
@@ -462,7 +491,8 @@ std::string LoadReport::text() const {
         << recovery_ms << " ms, all-healthy "
         << (all_healthy ? "yes" : "NO") << ", accounting "
         << (accounting_ok ? "ok" : "BROKEN") << ", post-recovery p99 "
-        << text_or_na(p99_recovered_ms) << " ms\n";
+        << text_or_na(p99_recovered_ms) << " ms over " << recovered_samples
+        << " sessions (" << recovery_sessions << " top-up)\n";
   }
   if (have_server_stats) {
     for (std::size_t s = 0; s < server.shards.size(); ++s) {
@@ -498,6 +528,8 @@ std::string LoadReport::json() const {
       << ", \"all_healthy\": " << (all_healthy ? "true" : "false")
       << ", \"accounting_ok\": " << (accounting_ok ? "true" : "false")
       << ", \"p99_recovered_ms\": " << json_or_null(p99_recovered_ms)
+      << ", \"recovered_samples\": " << recovered_samples
+      << ", \"recovery_sessions\": " << recovery_sessions
       << ", \"workloads\": {";
   const char* kWorkloadNames[] = {"earsonar", "absorbance"};
   for (std::size_t w = 0; w < per_workload.size(); ++w) {

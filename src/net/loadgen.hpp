@@ -34,7 +34,11 @@
 // asserts: every attempted session still terminates exactly once
 // (attempted == completed + rejected + errored + transport), every killed
 // shard returns to healthy, and `p99_recovered_ms` shows the post-recovery
-// tail so a drill can prove latency actually came back.
+// tail so a drill can prove latency actually came back. When the pool
+// converges too late in the replay for that tail to have samples, the drill
+// replays extra sessions (counted in every accounting slice) until it holds
+// kMinRecoveredSamples post-recovery completions, or reports fewer in
+// `recovered_samples` after kMaxRecoverySessions top-ups.
 #pragma once
 
 #include <array>
@@ -46,6 +50,11 @@
 #include "net/frame.hpp"
 
 namespace earsonar::net {
+
+/// Post-recovery completions a chaos drill collects before it states a
+/// recovered tail, and the most extra sessions it replays to get them.
+inline constexpr std::size_t kMinRecoveredSamples = 8;
+inline constexpr std::size_t kMaxRecoverySessions = 4 * kMinRecoveredSamples;
 
 struct LoadGenConfig {
   std::string host = "127.0.0.1";
@@ -139,13 +148,19 @@ struct LoadReport {
   double recovery_ms = 0.0;
   /// Every non-retired shard reported healthy at the end of the run.
   bool all_healthy = false;
-  /// attempted == sessions and attempted == completed+rejected+errored+
-  /// transport — the "nothing vanished" invariant the drill asserts.
+  /// Extra post-recovery sessions a chaos drill replayed beyond `sessions`.
+  std::size_t recovery_sessions = 0;
+  /// attempted == sessions + recovery_sessions and attempted == completed+
+  /// rejected+errored+transport — the "nothing vanished" invariant the
+  /// drill asserts.
   bool accounting_ok = false;
   /// p99 over sessions that completed after the pool recovered (equals
   /// p99_ms when no chaos ran); shows whether the tail actually came back.
   /// NaN when nothing completed post-recovery.
   double p99_recovered_ms = std::numeric_limits<double>::quiet_NaN();
+  /// Completions behind p99_recovered_ms. A chaos drill that ends with fewer
+  /// than kMinRecoveredSamples has not shown its tail recovered.
+  std::size_t recovered_samples = 0;
 
   [[nodiscard]] std::string text() const;
   [[nodiscard]] std::string json() const;

@@ -16,8 +16,8 @@ std::vector<BatchOutcome> BatchExecutor::analyze_filtered(
   if (items.empty()) return out;
   const bool multi = items.size() > 1;
 
-  // Chaos drill: force the degenerate fully-per-request path, the same code
-  // the engine would run unbatched (docs/robustness.md, `pipeline.batch`).
+  // Chaos drill: force the degenerate fully-per-request path, one lone
+  // analyze_filtered() per item (docs/robustness.md, `pipeline.batch`).
   if (fault::point("pipeline.batch")) {
     if (info) info->forced_fallback = true;
     for (std::size_t i = 0; i < items.size(); ++i) {
@@ -113,6 +113,13 @@ std::vector<BatchOutcome> BatchExecutor::analyze_filtered(
     span.end();
     if (graph_)
       graph_->record(StageId::kEchoPsd, span.elapsed_ms(), psd_items.size(), multi);
+    if (psd_ok) {
+      if (info) info->psd_ms = span.elapsed_ms();
+      for (std::size_t j = 0; j < psd_idx.size(); ++j)
+        out[psd_idx[j]].psd_share_ms =
+            span.elapsed_ms() * static_cast<double>(psd_items[j].echoes->size()) /
+            static_cast<double>(lanes);
+    }
   }
 
   // --- features: per-request assembly from its slice of the shared pass.
@@ -124,6 +131,7 @@ std::vector<BatchOutcome> BatchExecutor::analyze_filtered(
       run(i, [&] {
         pipeline.stage_features(*items[i].filtered, out[i].analysis,
                                 items[i].cancel, psd_ok ? &psds[j] : nullptr);
+        out[i].analysis.timings.feature_ms += out[i].psd_share_ms;
       });
     }
     span.end();

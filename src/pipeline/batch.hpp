@@ -17,6 +17,11 @@
 // degraded paths: a request whose chirps drop mid-batch re-runs its features
 // recovery exactly as the unbatched path does, without disturbing lane-mates.
 //
+// Timing: each request's `timings.feature_ms` is its own feature assembly
+// plus its lane share of the shared echo_psd pass (pass time x its chirp
+// windows / all windows), so a batch of one reports what analyze_filtered()
+// reports and the shares over a batch sum to the pass time.
+//
 // Error isolation: one request's exception (degradation floor, cancellation)
 // is captured in its BatchOutcome; lane-mates proceed. A failure of the
 // shared PSD pass itself — or the `pipeline.batch` fault point — falls back
@@ -48,6 +53,9 @@ struct BatchItem {
 struct BatchOutcome {
   core::EchoAnalysis analysis;
   std::exception_ptr error;
+  /// This request's lane share of the shared echo_psd pass, already included
+  /// in analysis.timings.feature_ms (0 when the request had no pass share).
+  double psd_share_ms = 0.0;
 
   [[nodiscard]] bool ok() const { return error == nullptr; }
 };
@@ -57,6 +65,7 @@ struct BatchRunInfo {
   bool psd_batched = false;      ///< the shared echo_psd pass ran
   bool forced_fallback = false;  ///< pipeline.batch fault forced per-request mode
   std::size_t psd_lanes = 0;     ///< chirp windows carried by the shared pass
+  double psd_ms = 0.0;           ///< wall time of the shared pass
 };
 
 class BatchExecutor {

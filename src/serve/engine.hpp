@@ -4,9 +4,10 @@
 //
 //   submit() ──try_push──▶ BoundedQueue ──pop──▶ worker_loop × N ──▶ promise
 //                 │                                   │
-//            reject with                     StreamingSession per request
-//            reason when full                (chunked feed, finish, predict
-//                                             against ModelRegistry::current)
+//            reject with                     one batch of 1..batch_max
+//            reason when full                requests (feed_many rounds,
+//                                             finish_many, predict against
+//                                             ModelRegistry::current)
 //
 // Backpressure is explicit: a full queue rejects the submission immediately
 // with a reason (never blocks the caller, never drops accepted work), so an
@@ -17,11 +18,14 @@
 // which matches the deployment shape: a process is either serving or
 // training, never both at once.
 //
-// Each worker feeds its request through a StreamingSession in `chunk_samples`
-// slices. Requests may carry `chunk_period_s` to replay the device's real
-// arrival cadence (the worker waits between chunks as a live session would);
-// bench_serve uses that to measure how many concurrent real-time sessions a
-// worker count sustains.
+// There is one EarSonar execution path: every worker collects a batch (at
+// batch_max 1, a batch of one with no linger) and runs it through
+// StreamingSession::feed_many rounds in `chunk_samples` slices, then one
+// StreamingSession::finish_many pass. Requests may carry `chunk_period_s` to
+// replay the device's real arrival cadence (the worker waits between chunks
+// as a live session would); such a paced request runs as its own batch of
+// one so its waits never stall lane-mates. bench_serve uses that to measure
+// how many concurrent real-time sessions a worker count sustains.
 #pragma once
 
 #include <atomic>
@@ -31,6 +35,7 @@
 #include <memory>
 #include <optional>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -65,8 +70,9 @@ struct EngineConfig {
   /// stragglers), then runs them through the stage graph as ONE batch —
   /// shared MultiBiquadCascade filter passes during ingest and
   /// cross-request x4 lanes in the echo-PSD stage (pipeline::BatchExecutor).
-  /// 1 disables batching (the classic per-request path). Results are
-  /// bit-identical either way; see docs/serving.md "Batching semantics".
+  /// 1 runs every request as a batch of one, through the same code, with no
+  /// linger. Results are bit-identical at every width; see docs/serving.md
+  /// "Batching semantics".
   std::size_t batch_max = 1;
   /// Microseconds a batch-leading worker lingers for more requests after its
   /// first pop. 0 still batches whatever is already queued, adding no
@@ -101,9 +107,9 @@ struct ServeRequest {
   /// Alternative payload: a StreamingSession someone else already fed (the
   /// networked front-end streams chunks into the session on the connection
   /// thread as they arrive, then submits only the finalization). When set,
-  /// `recording` / chunking fields are ignored and the worker runs
-  /// session->finish() + inference. The session must have been built with a
-  /// causal pipeline config compatible with this engine's.
+  /// `recording` / chunking fields are ignored and the worker runs only the
+  /// finalization (finish_many) + inference. The session must have been
+  /// built with a causal pipeline config compatible with this engine's.
   std::unique_ptr<StreamingSession> session = nullptr;
 };
 
@@ -186,9 +192,8 @@ class ServingEngine {
   /// occupancy counters of the stage graph.
   [[nodiscard]] std::string metrics_snapshot() const;
 
-  /// Per-stage occupancy of the batched execution path (see
-  /// pipeline::StageGraph; unbatched occupancy lives in the latency
-  /// histograms).
+  /// Per-stage occupancy of the execution path (see pipeline::StageGraph);
+  /// every batch, including a batch of one, records every stage it ran.
   [[nodiscard]] const pipeline::StageGraph& stage_graph() const {
     return stage_graph_;
   }
@@ -202,26 +207,33 @@ class ServingEngine {
     std::optional<std::chrono::steady_clock::time_point> deadline;
   };
 
+  /// A dequeued job that survived admission, with its cancel token.
+  struct Admitted {
+    Job* job = nullptr;
+    CancelToken cancel;
+    double queue_ms = 0.0;
+  };
+
   void worker_loop();
-  [[nodiscard]] ServeResult process(ServeRequest& request,
-                                    const CancelToken& cancel);
   /// The absorbance workload's whole pipeline: classify the request's curve
   /// with the installed wideband screener. No streaming session, no stage
   /// graph — one scaler + softmax pass.
   [[nodiscard]] ServeResult process_absorbance(const ServeRequest& request);
-  /// Dequeue-side bookkeeping shared by both paths: records queue wait,
+  /// Dequeue-side bookkeeping shared by both workloads: records queue wait,
   /// sheds the job (promise satisfied, nullopt returned) when its deadline
   /// already expired, else hands back the request's cancel token.
   [[nodiscard]] std::optional<CancelToken> admit_dequeued(Job& job,
                                                           double& queue_ms);
-  /// process() for one dequeued job, with the error mapping and completion
-  /// metrics — the classic per-request path.
-  void handle_job(Job job, double queue_ms, const CancelToken& cancel);
-  /// One collected batch: shed expired jobs, run paced jobs classically,
-  /// batch the rest through feed_many + StreamingSession::finish_many.
+  /// process_absorbance() for one admitted job, with the error mapping and
+  /// completion metrics.
+  void handle_absorbance(Job& job, double queue_ms);
+  /// One collected batch: shed expired jobs, split off the absorbance group
+  /// and paced jobs, run the remaining EarSonar jobs as one batch.
   void process_batch(std::vector<Job> batch);
-  /// The tail shared by process() and the batched path: result assembly from
-  /// one analysis, stage-latency metrics, and inference.
+  /// One EarSonar batch of N >= 1 requests: shared feed_many ingest rounds,
+  /// one finish_many pass, then per-request inference and completion.
+  void run_earsonar(std::span<const Admitted> group);
+  /// Result assembly from one analysis, stage-latency metrics, and inference.
   [[nodiscard]] ServeResult finalize_analysis(const std::string& id,
                                               core::EchoAnalysis analysis,
                                               double resample_ms);

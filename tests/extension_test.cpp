@@ -16,8 +16,6 @@
 #include "sim/probe.hpp"
 #include "core/screening.hpp"
 #include "core/severity.hpp"
-#include "core/template_match.hpp"
-#include "audio/noise.hpp"
 #include "dsp/stft.hpp"
 #include "ml/ridge.hpp"
 #include "ml/roc.hpp"
@@ -506,78 +504,6 @@ TEST(BilateralTest, UnusableAnalysisRejected) {
   core::EarSonar pipeline;
   const auto silent = pipeline.analyze(audio::Waveform::silence(2400, 48000.0));
   EXPECT_THROW((void)core::screen_bilateral(silent, silent), std::invalid_argument);
-}
-
-
-// ---------------------------------------------------------- template match
-
-TEST(TemplateMatchTest, FindsCleanChirpArrival) {
-  const audio::FmcwConfig chirp;
-  const audio::Waveform pulse = audio::make_chirp(chirp);
-  audio::Waveform signal = audio::Waveform::silence(256, 48000.0);
-  signal.add_at(pulse, 100);
-  core::ChirpTemplateMatcher matcher(chirp);
-  const auto arrivals = matcher.find_arrivals(signal.view(), 0.9);
-  ASSERT_FALSE(arrivals.empty());
-  bool found = false;
-  for (const auto& a : arrivals)
-    if (std::abs(a.position - 100.0) < 1.5 && a.correlation > 0.95) found = true;
-  EXPECT_TRUE(found);
-}
-
-TEST(TemplateMatchTest, FindsBothDirectAndEcho) {
-  const audio::FmcwConfig chirp;
-  const audio::Waveform pulse = audio::make_chirp(chirp);
-  audio::Waveform signal = audio::Waveform::silence(512, 48000.0);
-  signal.add_at(pulse, 60);
-  audio::Waveform echo = pulse;
-  echo.scale(0.4);
-  signal.add_at(echo, 160);  // well-separated second arrival
-  core::ChirpTemplateMatcher matcher(chirp);
-  const auto arrivals = matcher.find_arrivals(signal.view(), 0.8);
-  int hits = 0;
-  for (const auto& a : arrivals)
-    if (std::abs(a.position - 60.0) < 1.5 || std::abs(a.position - 160.0) < 1.5) ++hits;
-  EXPECT_GE(hits, 2);
-}
-
-TEST(TemplateMatchTest, ScoreAtPeaksOnTheArrival) {
-  const audio::FmcwConfig chirp;
-  const audio::Waveform pulse = audio::make_chirp(chirp);
-  audio::Waveform signal = audio::Waveform::silence(256, 48000.0);
-  signal.add_at(pulse, 80);
-  core::ChirpTemplateMatcher matcher(chirp);
-  EXPECT_GT(matcher.score_at(signal.view(), 80.0), 0.95);
-  EXPECT_LT(matcher.score_at(signal.view(), 20.0), 0.5);
-}
-
-TEST(TemplateMatchTest, NoiseScoresLow) {
-  Rng rng(21);
-  audio::Waveform noise =
-      audio::make_noise(audio::NoiseColor::kWhite, 512, 48000.0, rng);
-  core::ChirpTemplateMatcher matcher;
-  const auto arrivals = matcher.find_arrivals(noise.view(), 0.8);
-  EXPECT_TRUE(arrivals.empty());
-}
-
-TEST(TemplateMatchTest, ShortSignalYieldsEmptyTrack) {
-  core::ChirpTemplateMatcher matcher;
-  const std::vector<double> tiny(4, 1.0);
-  EXPECT_TRUE(matcher.correlation_track(tiny).empty());
-  EXPECT_DOUBLE_EQ(matcher.score_at(tiny, 0.0), 0.0);
-}
-
-TEST(TemplateMatchTest, CorrelationBoundedByOne) {
-  const audio::FmcwConfig chirp;
-  const audio::Waveform pulse = audio::make_chirp(chirp);
-  audio::Waveform signal = audio::Waveform::silence(300, 48000.0);
-  signal.add_at(pulse, 10);
-  signal.add_at(pulse, 150);
-  core::ChirpTemplateMatcher matcher(chirp);
-  for (double c : matcher.correlation_track(signal.view())) {
-    EXPECT_LE(c, 1.0 + 1e-9);
-    EXPECT_GE(c, -1.0 - 1e-9);
-  }
 }
 
 }  // namespace

@@ -323,8 +323,6 @@ TEST(DegradationTest, StreamingSessionCarriesQuality) {
   sc.pipeline.preprocess.zero_phase = false;
   serve::StreamingSession session(sc);
   session.feed(recording.view());
-  const core::EchoAnalysis partial = session.partial_analysis();
-  EXPECT_FALSE(partial.quality.degraded);
   const core::EchoAnalysis final_analysis = session.finish();
   EXPECT_FALSE(final_analysis.quality.degraded);
   EXPECT_EQ(final_analysis.quality.chirps_total, final_analysis.events.size());

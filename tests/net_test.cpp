@@ -368,33 +368,40 @@ TEST(NetLoopbackTest, BitIdenticalToInProcessAnalyzeAtEveryChunkSize) {
   const core::DetectorModel model = tiny_model();
   const core::Diagnosis expected = model.predict(reference.features);
 
-  net::NetServer server(small_server_config(2));
-  server.shards().install_model(model, "test");
-  server.start();
+  // batch_max 1 runs each session as a batch of one; batch_max 4 lets a
+  // worker collect several finalizations into one pass. Same answers.
+  for (const std::size_t batch_max : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("batch_max " + std::to_string(batch_max));
+    net::NetServerConfig cfg = small_server_config(2);
+    cfg.shards.engine.batch_max = batch_max;
+    net::NetServer server(cfg);
+    server.shards().install_model(model, "test");
+    server.start();
 
-  net::NetClient client("127.0.0.1", server.port());
-  const std::size_t sizes[] = {64, 480, 4800, recording.size()};
-  std::uint64_t session_id = 1;
-  for (const std::size_t chunk : sizes) {
-    net::SessionOptions options;
-    options.session_id = session_id++;
-    options.chunk_samples = chunk;
-    const net::SessionOutcome outcome = client.run_session(recording, options);
-    ASSERT_EQ(outcome.kind, net::SessionOutcome::Kind::kResult)
-        << "chunk " << chunk << ": " << outcome.message;
-    EXPECT_TRUE(outcome.admitted);
-    const net::ResultPayload& result = outcome.result;
-    EXPECT_TRUE(result.usable);
-    ASSERT_EQ(result.features.size(), reference.features.size());
-    for (std::size_t i = 0; i < reference.features.size(); ++i)
-      EXPECT_EQ(result.features[i], reference.features[i])
-          << "feature " << i << " differs at chunk size " << chunk;
-    ASSERT_TRUE(result.has_diagnosis);
-    EXPECT_EQ(result.state, expected.state);
-    EXPECT_EQ(result.confidence, expected.confidence);
-    EXPECT_EQ(result.model_version, 1u);
+    net::NetClient client("127.0.0.1", server.port());
+    const std::size_t sizes[] = {64, 480, 4800, recording.size()};
+    std::uint64_t session_id = 1;
+    for (const std::size_t chunk : sizes) {
+      net::SessionOptions options;
+      options.session_id = session_id++;
+      options.chunk_samples = chunk;
+      const net::SessionOutcome outcome = client.run_session(recording, options);
+      ASSERT_EQ(outcome.kind, net::SessionOutcome::Kind::kResult)
+          << "chunk " << chunk << ": " << outcome.message;
+      EXPECT_TRUE(outcome.admitted);
+      const net::ResultPayload& result = outcome.result;
+      EXPECT_TRUE(result.usable);
+      ASSERT_EQ(result.features.size(), reference.features.size());
+      for (std::size_t i = 0; i < reference.features.size(); ++i)
+        EXPECT_EQ(result.features[i], reference.features[i])
+            << "feature " << i << " differs at chunk size " << chunk;
+      ASSERT_TRUE(result.has_diagnosis);
+      EXPECT_EQ(result.state, expected.state);
+      EXPECT_EQ(result.confidence, expected.confidence);
+      EXPECT_EQ(result.model_version, 1u);
+    }
+    server.stop();
   }
-  server.stop();
 }
 
 // The bit-identity contract must survive a *live resize*: sessions answered

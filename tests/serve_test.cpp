@@ -353,23 +353,6 @@ TEST(StreamingSessionTest, BitIdenticalToBatchAtEveryChunkSize) {
   }
 }
 
-TEST(StreamingSessionTest, ProvisionalResultsArriveBeforeFinish) {
-  const audio::Waveform recording = test_recording();
-  serve::StreamingConfig sc;
-  sc.pipeline = causal_config();
-  serve::StreamingSession session(sc);
-  std::span<const double> samples = recording.view();
-  // Feed the first ~half; several chirp events should already be settled.
-  session.feed(samples.subspan(0, samples.size() / 2));
-  EXPECT_GT(session.provisional_event_count(), 0u);
-  EXPECT_FALSE(session.provisional_echoes().empty());
-  const core::EchoAnalysis partial = session.partial_analysis();
-  EXPECT_FALSE(partial.features.empty());
-  session.feed(samples.subspan(samples.size() / 2));
-  const core::EchoAnalysis final_analysis = session.finish();
-  EXPECT_GE(final_analysis.events.size(), partial.events.size());
-}
-
 TEST(StreamingSessionTest, RejectPolicyRefusesOverflowWithoutStateChange) {
   serve::StreamingConfig sc;
   sc.pipeline = causal_config();
@@ -670,6 +653,58 @@ TEST(ServingEngineChaosTest, StreamFeedFaultFailsOneRequestNotTheEngine) {
   const serve::ServeResult result = sub.result.get();
   engine.stop();
   EXPECT_TRUE(result.error.empty()) << result.error;
+  EXPECT_EQ(engine.metrics().failed.load(), 1u);
+  EXPECT_EQ(engine.metrics().completed.load(), 1u);
+}
+
+// Inside one shared ingest pass the fault must land on the lane that owns
+// it: with two whole uploads collected into one batch, `nth:1` fails the
+// first lane's first chunk, and its lane-mate still answers exactly what
+// in-process causal analyze() computes.
+TEST(ServingEngineChaosTest, StreamFeedFaultInBatchFailsOnlyItsOwnLane) {
+  const std::vector<audio::Waveform> recordings = {test_recording(7),
+                                                   test_recording(8)};
+  const core::EarSonar pipeline(causal_config());
+  serve::EngineConfig cfg = small_engine(1, 4);
+  cfg.batch_max = 4;
+  cfg.batch_wait_us = 200000;  // the leader lingers until both are queued
+  serve::ServingEngine engine(cfg);
+  engine.start();
+  std::vector<serve::ServeResult> results;
+  {
+    fault::ScopedFault guard("serve.stream.feed=nth:1");
+    std::vector<std::future<serve::ServeResult>> futures;
+    for (std::size_t i = 0; i < recordings.size(); ++i) {
+      serve::ServeRequest request;
+      request.id = "r" + std::to_string(i);
+      request.recording = recordings[i];
+      serve::Submission sub = engine.submit(std::move(request));
+      ASSERT_TRUE(sub.accepted) << sub.reason;
+      futures.push_back(std::move(sub.result));
+    }
+    for (auto& future : futures) results.push_back(future.get());
+  }
+  engine.stop();
+  ASSERT_EQ(engine.metrics().batches.load(), 1u) << "both uploads in one batch";
+  EXPECT_EQ(engine.metrics().batched_requests.load(), 2u);
+
+  std::size_t failed = 0;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    SCOPED_TRACE(results[i].id);
+    if (!results[i].error.empty()) {
+      ++failed;
+      EXPECT_NE(results[i].error.find("injected fault: serve.stream.feed"),
+                std::string::npos)
+          << results[i].error;
+      continue;
+    }
+    const core::EchoAnalysis want = pipeline.analyze(recordings[i]);
+    ASSERT_TRUE(results[i].usable);
+    ASSERT_EQ(results[i].features.size(), want.features.size());
+    for (std::size_t f = 0; f < want.features.size(); ++f)
+      EXPECT_EQ(results[i].features[f], want.features[f]) << "feature " << f;
+  }
+  EXPECT_EQ(failed, 1u);
   EXPECT_EQ(engine.metrics().failed.load(), 1u);
   EXPECT_EQ(engine.metrics().completed.load(), 1u);
 }

@@ -309,9 +309,6 @@ TEST(FeedManyTest, BitIdenticalToSequentialFeedsAtEveryChunkSize) {
       }
       ASSERT_EQ(batched[i].samples_fed(), sequential[i].samples_fed());
       ASSERT_EQ(batched[i].samples_buffered(), sequential[i].samples_buffered());
-      EXPECT_EQ(batched[i].provisional_event_count(),
-                sequential[i].provisional_event_count())
-          << "chunk=" << chunk << " session " << i;
       const core::EchoAnalysis a = batched[i].finish();
       const core::EchoAnalysis b = sequential[i].finish();
       ASSERT_EQ(a.features.size(), b.features.size());

@@ -275,10 +275,44 @@ TEST(StageGraphBatchTest, EmptySessionFailsWithoutTakingDownLaneMates) {
   EXPECT_FALSE(outcomes[1].ok());
 }
 
+// Each request's feature_ms carries its lane share of the shared echo_psd
+// pass: over one batch the shares sum to the pass time, each share follows
+// the request's chirp-window count, and a batch of one is charged the whole
+// pass — what a lone analyze_filtered() reports inside its features stage.
+TEST(StageGraphBatchTest, FeatureTimingChargesLaneShareOfSharedPsdPass) {
+  const std::size_t sizes[] = {1, 3};
+  for (std::size_t n : sizes) {
+    SCOPED_TRACE("batch size " + std::to_string(n));
+    std::vector<std::unique_ptr<serve::StreamingSession>> sessions;
+    std::vector<serve::StreamingSession*> ptrs;
+    for (std::size_t i = 0; i < n; ++i) {
+      sessions.push_back(fed_session(test_recording(700 + i)));
+      ptrs.push_back(sessions.back().get());
+    }
+    std::vector<CancelToken> cancels(n);
+    pipeline::BatchRunInfo info;
+    const std::vector<pipeline::BatchOutcome> outcomes =
+        serve::StreamingSession::finish_many(ptrs, cancels, nullptr, &info);
+    ASSERT_TRUE(info.psd_batched);
+    ASSERT_GT(info.psd_lanes, 0u);
+    double share_sum = 0.0;
+    for (const pipeline::BatchOutcome& outcome : outcomes) {
+      ASSERT_TRUE(outcome.ok());
+      const double echoes = static_cast<double>(outcome.analysis.echoes.size());
+      EXPECT_DOUBLE_EQ(outcome.psd_share_ms,
+                       info.psd_ms * echoes / static_cast<double>(info.psd_lanes));
+      EXPECT_GE(outcome.analysis.timings.feature_ms, outcome.psd_share_ms);
+      share_sum += outcome.psd_share_ms;
+    }
+    EXPECT_NEAR(share_sum, info.psd_ms, 1e-9 * (1.0 + info.psd_ms));
+    if (n == 1) EXPECT_DOUBLE_EQ(outcomes[0].psd_share_ms, info.psd_ms);
+  }
+}
+
 // ----------------------------------------------------- engine integration
 
-// A batching engine (batch_max > 1) must return the same answers as the
-// per-request engine path and surface its batch passes in the metrics and
+// A batching engine (batch_max > 1) must return the same answers as a lone
+// session's finish() and surface its batch passes in the metrics and
 // stage-graph occupancy counters.
 TEST(StageGraphEngineTest, BatchedEngineMatchesPerRequestResults) {
   const std::size_t kRequests = 4;
@@ -332,6 +366,44 @@ TEST(StageGraphEngineTest, BatchedEngineMatchesPerRequestResults) {
   EXPECT_NE(snapshot.find("earsonar_serve_batches_total"), std::string::npos);
   EXPECT_NE(snapshot.find("earsonar_serve_stage_items{stage=\"echo_psd\"}"),
             std::string::npos);
+}
+
+// batch_max 1 runs each request as a batch of one through the same code as
+// wider batches, so the stage graph sees every stage, not only inference.
+TEST(StageGraphEngineTest, BatchOfOneRecordsEveryStage) {
+  serve::EngineConfig cfg;
+  cfg.workers = 1;
+  cfg.queue_capacity = 4;
+  cfg.session.pipeline = causal_config();
+  ASSERT_EQ(cfg.batch_max, 1u);
+  serve::ServingEngine engine(cfg);
+  core::DetectorModel model;
+  const std::size_t dim = core::EarSonar(causal_config()).feature_dimension();
+  model.scaler_mean.assign(dim, 0.0);
+  model.scaler_std.assign(dim, 1.0);
+  model.selected_features = {0, 1};
+  model.centroids = {{-1.0, -1.0}, {1.0, 1.0}};
+  model.cluster_to_state = {0, 2};
+  engine.registry().install(std::move(model), "test");
+  engine.start();
+  serve::ServeRequest request;
+  request.id = "solo";
+  request.recording = test_recording(800);
+  serve::Submission sub = engine.submit(std::move(request));
+  ASSERT_TRUE(sub.accepted) << sub.reason;
+  const serve::ServeResult result = sub.result.get();
+  engine.stop();
+  ASSERT_TRUE(result.error.empty()) << result.error;
+  ASSERT_TRUE(result.diagnosis.has_value());
+
+  for (std::size_t s = 0; s < pipeline::kStageCount; ++s) {
+    const auto stage = static_cast<pipeline::StageId>(s);
+    SCOPED_TRACE(pipeline::stage_name(stage));
+    const pipeline::StageStats& stats = engine.stage_graph().stats(stage);
+    EXPECT_GT(stats.passes.load(), 0u);
+    EXPECT_EQ(stats.batched_items.load(), 0u);  // a batch of one shares nothing
+  }
+  EXPECT_EQ(engine.metrics().batches.load(), 0u);
 }
 
 // Deadline-mid-linger shed: a request whose deadline expires while the batch
