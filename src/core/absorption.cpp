@@ -126,7 +126,7 @@ void ensure_psd_cache(WindowPsdScratch& s, const SpectrumConfig& config,
 }
 
 // Window placement for one echo under the configured anchor — the switch
-// from extract(), shared with the batched extract_all path.
+// from extract(), shared with the packed extract_all_multi path.
 struct WindowGeometry {
   std::size_t center = 0, pre = 0, post = 0;
 };
@@ -143,6 +143,22 @@ WindowGeometry window_geometry(const SpectrumConfig& c, const EchoSegment& e) {
               c.gate_length / 2, c.gate_length - c.gate_length / 2};
   }
   return {};
+}
+
+// Copies the window signal[center - pre, center - pre + len) into dst,
+// zero-padded where it runs off either edge of the recording so every chirp
+// yields an identical analysis geometry.
+void gather_window(const audio::Waveform& signal, std::size_t center,
+                   std::size_t pre, std::size_t len, double* dst) {
+  const std::vector<double>& x = signal.samples();
+  for (std::size_t k = 0; k < len; ++k) {
+    const std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(center) -
+                               static_cast<std::ptrdiff_t>(pre) +
+                               static_cast<std::ptrdiff_t>(k);
+    dst[k] = idx >= 0 && idx < static_cast<std::ptrdiff_t>(x.size())
+                 ? x[static_cast<std::size_t>(idx)]
+                 : 0.0;
+  }
 }
 
 }  // namespace
@@ -212,24 +228,14 @@ dsp::Spectrum EchoSpectrumExtractor::window_psd(const audio::Waveform& signal,
   const double fs = signal.sample_rate();
   WindowPsdScratch& s = window_psd_scratch();
 
-  // Fixed-length window zero-padded at the recording edges so every chirp
-  // yields an identical analysis geometry.
   const std::size_t window_len = pre + post + 1;
-  double* window_samples;
   if (config_.interpolate || config_.hann_taper) {
-    s.window.assign(window_len, 0.0);
-    window_samples = s.window.data();
+    s.window.resize(window_len);
+    gather_window(signal, center, pre, window_len, s.window.data());
   } else {
     // Fast path: the raw window IS the FFT input head — fill it in place.
     s.dense.assign(config_.fft_size, 0.0);
-    window_samples = s.dense.data();
-  }
-  for (std::size_t i = 0; i < window_len; ++i) {
-    const std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(center) -
-                               static_cast<std::ptrdiff_t>(pre) +
-                               static_cast<std::ptrdiff_t>(i);
-    if (idx >= 0 && idx < static_cast<std::ptrdiff_t>(signal.size()))
-      window_samples[i] = signal.samples()[static_cast<std::size_t>(idx)];
+    gather_window(signal, center, pre, window_len, s.dense.data());
   }
 
   // Optionally interpolate onto a denser uniform grid (paper: "FFT
@@ -301,17 +307,41 @@ dsp::Spectrum EchoSpectrumExtractor::finalize(dsp::Spectrum spectrum,
 
 std::vector<dsp::Spectrum> EchoSpectrumExtractor::extract_all(
     const audio::Waveform& signal, const std::vector<EchoSegment>& echoes) const {
-  std::vector<dsp::Spectrum> out;
-  out.reserve(echoes.size());
-  std::size_t i = 0;
-  // Batched fast path: with no interpolation or taper the raw window IS the
-  // FFT input, so four echoes' windows pack side by side into one four-lane
-  // band PSD (FftPlan::power_spectrum_band_x4). Each lane runs the identical
+  const EchoBatch item{&signal, &echoes};
+  return std::move(extract_all_multi({&item, 1}).front());
+}
+
+std::vector<std::vector<dsp::Spectrum>> EchoSpectrumExtractor::extract_all_multi(
+    std::span<const EchoBatch> items) const {
+  std::vector<std::vector<dsp::Spectrum>> out(items.size());
+  // Flatten the (recording, echo) pairs in submission order; x4 groups then
+  // slice the flat sequence, crossing recording boundaries where they fall.
+  struct Slot {
+    const audio::Waveform* signal;
+    const EchoSegment* echo;
+    std::size_t item;
+  };
+  std::vector<Slot> slots;
+  bool uniform_fs = true;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    require(items[i].signal != nullptr && items[i].echoes != nullptr,
+            "extract_all_multi: null item");
+    uniform_fs = uniform_fs &&
+                 items[i].signal->sample_rate() == items[0].signal->sample_rate();
+    out[i].reserve(items[i].echoes->size());
+    for (const EchoSegment& echo : *items[i].echoes)
+      slots.push_back({items[i].signal, &echo, i});
+  }
+
+  // Packed path: with no interpolation or taper the raw window IS the FFT
+  // input, so four echoes' windows pack side by side into one four-lane band
+  // PSD (FftPlan::power_spectrum_band_x4). Each lane runs the identical
   // arithmetic as the per-echo path and finalize() is the shared per-echo
   // tail, so every spectrum matches extract() bit for bit.
+  std::size_t k = 0;
   if (!config_.interpolate && !config_.hann_taper && !config_.float32_kernels &&
-      echoes.size() >= 4) {
-    const double fs = signal.sample_rate();
+      uniform_fs && slots.size() >= 4) {
+    const double fs = items[0].signal->sample_rate();
     require(config_.band_high_hz <= fs / 2.0, "extract: band exceeds Nyquist");
     WindowPsdScratch& s = window_psd_scratch();
     ensure_psd_cache(s, config_, fs);  // no interpolation: effective rate == fs
@@ -320,116 +350,31 @@ std::vector<dsp::Spectrum> EchoSpectrumExtractor::extract_all(
     const double scale = 1.0 / static_cast<double>(config_.fft_size);
     s.dense4.assign(4 * config_.fft_size, 0.0);
     s.psd4.resize(4 * bins);
-    const std::vector<double>& x = signal.samples();
-    for (; i + 4 <= echoes.size(); i += 4) {
+    for (; k + 4 <= slots.size(); k += 4) {
       const double* in[4];
       double* psd[4];
       for (std::size_t l = 0; l < 4; ++l) {
-        const EchoSegment& echo = echoes[i + l];
-        require(echo.peak_index < signal.size(), "extract: echo peak outside signal");
-        const WindowGeometry g = window_geometry(config_, echo);
-        const std::size_t window_len = g.pre + g.post + 1;
+        const Slot& slot = slots[k + l];
+        require(slot.echo->peak_index < slot.signal->size(),
+                "extract: echo peak outside signal");
+        const WindowGeometry g = window_geometry(config_, *slot.echo);
+        // Only the window head is written; the zero-padded tail beyond it
+        // stays zero from the assign above.
         double* dense = s.dense4.data() + l * config_.fft_size;
-        // Only the window head is dirty from the previous group; the
-        // zero-padded tail beyond window_len is never written.
-        std::fill_n(dense, window_len, 0.0);
-        for (std::size_t k = 0; k < window_len; ++k) {
-          const std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(g.center) -
-                                     static_cast<std::ptrdiff_t>(g.pre) +
-                                     static_cast<std::ptrdiff_t>(k);
-          if (idx >= 0 && idx < static_cast<std::ptrdiff_t>(signal.size()))
-            dense[k] = x[static_cast<std::size_t>(idx)];
-        }
+        gather_window(*slot.signal, g.center, g.pre, g.pre + g.post + 1, dense);
         in[l] = dense;
         psd[l] = s.psd4.data() + l * bins;
       }
       plan.power_spectrum_band_x4(in, psd, scale, s.fft, s.band_klo, s.band_khi);
-      for (std::size_t l = 0; l < 4; ++l)
-        out.push_back(
-            finalize(resample_with_cache(s, psd[l]), signal, echoes[i + l]));
-    }
-  }
-  for (; i < echoes.size(); ++i) out.push_back(extract(signal, echoes[i]));
-  return out;
-}
-
-std::vector<std::vector<dsp::Spectrum>> EchoSpectrumExtractor::extract_all_multi(
-    std::span<const EchoBatch> items) const {
-  std::vector<std::vector<dsp::Spectrum>> out(items.size());
-  std::size_t total = 0;
-  double fs0 = 0.0;
-  bool uniform_fs = true;
-  for (const EchoBatch& item : items) {
-    require(item.signal != nullptr && item.echoes != nullptr,
-            "extract_all_multi: null item");
-    total += item.echoes->size();
-    if (fs0 == 0.0) fs0 = item.signal->sample_rate();
-    uniform_fs = uniform_fs && item.signal->sample_rate() == fs0;
-  }
-  if (config_.interpolate || config_.hann_taper || config_.float32_kernels ||
-      !uniform_fs || total < 4) {
-    for (std::size_t i = 0; i < items.size(); ++i)
-      out[i] = extract_all(*items[i].signal, *items[i].echoes);
-    return out;
-  }
-
-  // Flatten the (recording, echo) pairs in submission order; x4 groups then
-  // slice the flat sequence, crossing recording boundaries where they fall.
-  struct Slot {
-    std::size_t item, echo;
-  };
-  std::vector<Slot> slots;
-  slots.reserve(total);
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    out[i].reserve(items[i].echoes->size());
-    for (std::size_t e = 0; e < items[i].echoes->size(); ++e) slots.push_back({i, e});
-  }
-
-  require(config_.band_high_hz <= fs0 / 2.0, "extract: band exceeds Nyquist");
-  WindowPsdScratch& s = window_psd_scratch();
-  ensure_psd_cache(s, config_, fs0);  // no interpolation: effective rate == fs
-  const dsp::FftPlan& plan = *s.plan;
-  const std::size_t bins = plan.real_bins();
-  const double scale = 1.0 / static_cast<double>(config_.fft_size);
-  s.dense4.assign(4 * config_.fft_size, 0.0);
-  s.psd4.resize(4 * bins);
-  std::size_t k = 0;
-  for (; k + 4 <= slots.size(); k += 4) {
-    const double* in[4];
-    double* psd[4];
-    for (std::size_t l = 0; l < 4; ++l) {
-      const Slot& slot = slots[k + l];
-      const audio::Waveform& signal = *items[slot.item].signal;
-      const EchoSegment& echo = (*items[slot.item].echoes)[slot.echo];
-      require(echo.peak_index < signal.size(), "extract: echo peak outside signal");
-      const WindowGeometry g = window_geometry(config_, echo);
-      const std::size_t window_len = g.pre + g.post + 1;
-      double* dense = s.dense4.data() + l * config_.fft_size;
-      // Only the window head is dirty from the previous group; the
-      // zero-padded tail beyond window_len is never written.
-      std::fill_n(dense, window_len, 0.0);
-      const std::vector<double>& x = signal.samples();
-      for (std::size_t j = 0; j < window_len; ++j) {
-        const std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(g.center) -
-                                   static_cast<std::ptrdiff_t>(g.pre) +
-                                   static_cast<std::ptrdiff_t>(j);
-        if (idx >= 0 && idx < static_cast<std::ptrdiff_t>(signal.size()))
-          dense[j] = x[static_cast<std::size_t>(idx)];
+      for (std::size_t l = 0; l < 4; ++l) {
+        const Slot& slot = slots[k + l];
+        out[slot.item].push_back(
+            finalize(resample_with_cache(s, psd[l]), *slot.signal, *slot.echo));
       }
-      in[l] = dense;
-      psd[l] = s.psd4.data() + l * bins;
-    }
-    plan.power_spectrum_band_x4(in, psd, scale, s.fft, s.band_klo, s.band_khi);
-    for (std::size_t l = 0; l < 4; ++l) {
-      const Slot& slot = slots[k + l];
-      out[slot.item].push_back(finalize(resample_with_cache(s, psd[l]),
-                                        *items[slot.item].signal,
-                                        (*items[slot.item].echoes)[slot.echo]));
     }
   }
   for (; k < slots.size(); ++k)
-    out[slots[k].item].push_back(extract(*items[slots[k].item].signal,
-                                         (*items[slots[k].item].echoes)[slots[k].echo]));
+    out[slots[k].item].push_back(extract(*slots[k].signal, *slots[k].echo));
   return out;
 }
 

@@ -9,6 +9,7 @@
 #include "common/parallel.hpp"
 #include "dsp/interpolate.hpp"
 #include "obs/trace.hpp"
+#include "pipeline/batch.hpp"
 
 namespace earsonar::core {
 
@@ -70,16 +71,139 @@ namespace {
 
 EchoAnalysis EarSonar::analyze_filtered(const audio::Waveform& filtered,
                                         const CancelToken& cancel) const {
-  require_nonempty("EarSonar::analyze_filtered signal", filtered.size());
-  EchoAnalysis analysis;
-  analysis.quality.min_usable = config_.min_usable_chirps;
-  stage_event_detect(filtered, analysis);
-  cancel.check("segment");
-  stage_segment(filtered, analysis, cancel);
-  if (analysis.echoes.empty()) return analysis;
-  cancel.check("features");
-  stage_features(filtered, analysis, cancel, nullptr);
-  return analysis;
+  const pipeline::BatchItem item{&filtered, cancel};
+  std::vector<pipeline::BatchOutcome> out = walk({&item, 1}, nullptr, nullptr);
+  if (!out.front().ok()) std::rethrow_exception(out.front().error);
+  return std::move(out.front().analysis);
+}
+
+std::vector<pipeline::BatchOutcome> EarSonar::analyze_filtered_many(
+    std::span<const pipeline::BatchItem> items, pipeline::StageGraph* graph,
+    pipeline::BatchRunInfo* info) const {
+  if (info) *info = {};
+  if (items.empty() || !fault::point("pipeline.batch")) return walk(items, graph, info);
+
+  // Chaos drill: every request runs as its own batch of one through the
+  // same walk (docs/robustness.md, `pipeline.batch`).
+  std::vector<pipeline::BatchOutcome> out;
+  out.reserve(items.size());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    pipeline::BatchRunInfo one;
+    out.push_back(std::move(walk(items.subspan(i, 1), graph, &one).front()));
+    if (info) info->psd_retried = info->psd_retried || one.psd_retried;
+  }
+  if (info) info->forced_fallback = true;
+  return out;
+}
+
+std::vector<pipeline::BatchOutcome> EarSonar::walk(
+    std::span<const pipeline::BatchItem> items, pipeline::StageGraph* graph,
+    pipeline::BatchRunInfo* info) const {
+  using pipeline::StageId;
+  std::vector<pipeline::BatchOutcome> out(items.size());
+  const bool multi = items.size() > 1;
+
+  // A request that throws in one stage is finished (its error captured);
+  // lane-mates continue.
+  auto run = [&](std::size_t i, auto&& body) {
+    if (!out[i].ok()) return;
+    try {
+      body();
+    } catch (...) {
+      out[i].error = std::current_exception();
+    }
+  };
+  auto record = [&](StageId id, const obs::Span& span, std::size_t count) {
+    if (graph) graph->record(id, span.elapsed_ms(), count, multi);
+  };
+
+  // --- event_detect: per request, in submission order, so fault-point
+  // counters and drop bookkeeping fire in the same sequence as N lone calls.
+  {
+    obs::Span span("batch.event_detect", "pipeline");
+    span.set_arg("requests", static_cast<std::int64_t>(items.size()));
+    for (std::size_t i = 0; i < items.size(); ++i)
+      run(i, [&] {
+        require_nonempty("EarSonar::analyze_filtered signal",
+                         items[i].filtered->size());
+        out[i].analysis.quality.min_usable = config_.min_usable_chirps;
+        stage_event_detect(*items[i].filtered, out[i].analysis);
+      });
+    span.end();
+    record(StageId::kEventDetect, span, items.size());
+  }
+
+  // --- segment: per request (the parity decomposition is request-serial).
+  {
+    obs::Span span("batch.segment", "pipeline");
+    span.set_arg("requests", static_cast<std::int64_t>(items.size()));
+    for (std::size_t i = 0; i < items.size(); ++i)
+      run(i, [&] {
+        items[i].cancel.check("segment");
+        stage_segment(*items[i].filtered, out[i].analysis, items[i].cancel);
+      });
+    span.end();
+    record(StageId::kSegment, span, items.size());
+  }
+
+  // --- echo_psd: ONE pass over every surviving request's chirp windows,
+  // packed into four-lane groups that cross request boundaries. Each lane's
+  // arithmetic is independent (x4 kernel == four single calls, bitwise), so
+  // the shared pass yields exactly the PSDs each request would compute alone.
+  std::vector<std::size_t> psd_idx;  // psd_items[j] belongs to items[psd_idx[j]]
+  std::vector<EchoSpectrumExtractor::EchoBatch> psd_items;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (!out[i].ok() || out[i].analysis.echoes.empty()) continue;
+    run(i, [&] { items[i].cancel.check("features"); });
+    if (!out[i].ok()) continue;
+    psd_idx.push_back(i);
+    psd_items.push_back({items[i].filtered, &out[i].analysis.echoes});
+  }
+  std::vector<std::vector<dsp::Spectrum>> psds;
+  if (!psd_items.empty()) {
+    std::size_t lanes = 0;
+    for (const auto& item : psd_items) lanes += item.echoes->size();
+    obs::Span span("batch.echo_psd", "pipeline");
+    span.set_arg("lanes", static_cast<std::int64_t>(lanes));
+    try {
+      psds = extractor_.spectrum_extractor().extract_all_multi(psd_items);
+    } catch (...) {
+      // The shared pass failed (e.g. an injected FFT fault). Each request
+      // recomputes its own PSDs once inside stage_features below; only a
+      // repeat failure reaches the per-echo recovery there.
+      if (info) info->psd_retried = true;
+    }
+    span.end();
+    record(StageId::kEchoPsd, span, psd_items.size());
+    if (!psds.empty()) {
+      if (info) {
+        info->psd_batched = true;
+        info->psd_lanes = lanes;
+        info->psd_ms = span.elapsed_ms();
+      }
+      for (std::size_t j = 0; j < psd_idx.size(); ++j)
+        out[psd_idx[j]].psd_share_ms =
+            span.elapsed_ms() * static_cast<double>(psd_items[j].echoes->size()) /
+            static_cast<double>(lanes);
+    }
+  }
+
+  // --- features: per-request assembly from its slice of the shared pass.
+  {
+    obs::Span span("batch.features", "pipeline");
+    span.set_arg("requests", static_cast<std::int64_t>(psd_idx.size()));
+    for (std::size_t j = 0; j < psd_idx.size(); ++j) {
+      const std::size_t i = psd_idx[j];
+      run(i, [&] {
+        stage_features(*items[i].filtered, out[i].analysis,
+                       psds.empty() ? nullptr : &psds[j]);
+        out[i].analysis.timings.feature_ms += out[i].psd_share_ms;
+      });
+    }
+    span.end();
+    record(StageId::kFeatures, span, psd_idx.size());
+  }
+  return out;
 }
 
 void EarSonar::stage_event_detect(const audio::Waveform& filtered,
@@ -136,16 +260,13 @@ void EarSonar::stage_segment(const audio::Waveform& filtered, EchoAnalysis& anal
 }
 
 void EarSonar::stage_features(const audio::Waveform& filtered, EchoAnalysis& analysis,
-                              const CancelToken& cancel,
                               const std::vector<dsp::Spectrum>* per_echo) const {
-  (void)cancel;
   AnalysisQuality& quality = analysis.quality;
   obs::Span feature_span("features", "pipeline");
   // One extraction pass yields both the feature vector and the mean echo
-  // spectrum; the per-echo PSDs inside are computed once and shared. When
-  // the batched executor hands in precomputed PSDs, only the happy-path
-  // extraction switches sources — the recovery path below always
-  // re-extracts per request, so both entry points converge on errors.
+  // spectrum; the per-echo PSDs inside are computed once and shared. Without
+  // a slice of the shared echo_psd pass the PSDs are recomputed here; the
+  // recovery path below always re-extracts per echo.
   try {
     if (fault::point("pipeline.features")) fail("injected fault: pipeline.features");
     FeatureExtractor::Result extracted =

@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -22,7 +23,11 @@
 #include "core/segment.hpp"
 
 namespace earsonar::pipeline {
-class BatchExecutor;  // src/pipeline/batch.hpp: cross-request batched stages
+// The batch types of analyze_filtered_many(), defined in pipeline/batch.hpp.
+struct BatchItem;
+struct BatchOutcome;
+struct BatchRunInfo;
+class StageGraph;
 }  // namespace earsonar::pipeline
 
 namespace earsonar::core {
@@ -51,7 +56,8 @@ struct PipelineConfig {
 /// The flat aggregate view of the `obs::Span` instrumentation: each field is
 /// the elapsed time of the matching trace span ("bandpass", "event_detect",
 /// "segment", "features", "inference" — see docs/observability.md), measured
-/// whether or not a trace is being captured.
+/// whether or not a trace is being captured. `feature_ms` also carries the
+/// request's lane share of the "batch.echo_psd" span.
 struct StageTimings {
   double bandpass_ms = 0.0;
   double event_detect_ms = 0.0;
@@ -116,20 +122,33 @@ class EarSonar {
   /// Error isolation: a chirp whose segmentation or PSD extraction throws is
   /// dropped and recorded in `quality` instead of aborting the recording;
   /// the result is computed from the surviving chirps exactly as if only
-  /// they had been detected. Throws only when fewer than
-  /// `config.min_usable_chirps` chirps survive an error, or when `cancel`
-  /// expires between stages (CancelledError).
+  /// they had been detected. An echo-PSD pass that throws is first retried
+  /// once for the whole recording; only a repeat failure drops chirps.
+  /// Throws only when fewer than `config.min_usable_chirps` chirps survive an
+  /// error, or when `cancel` expires between stages (CancelledError).
   [[nodiscard]] EchoAnalysis analyze(const audio::Waveform& recording,
                                      const CancelToken& cancel = {}) const;
 
   /// analyze() minus resampling and band-pass filtering, for callers that
   /// already hold the preprocessed signal at the probe sample rate — the
   /// streaming serving path filters incrementally as chunks arrive and
-  /// finalizes through this entry point, which is what makes chunked
+  /// finalizes through analyze_filtered_many(), which is what makes chunked
   /// ingestion bit-identical to the batch pipeline. `timings.bandpass_ms`
-  /// stays zero.
+  /// stays zero. This is analyze_filtered_many() over one request, minus the
+  /// `pipeline.batch` fault point, rethrowing the error it captured.
   [[nodiscard]] EchoAnalysis analyze_filtered(const audio::Waveform& filtered,
                                               const CancelToken& cancel = {}) const;
+
+  /// analyze_filtered() for many requests in one stage-by-stage walk, with
+  /// the echo-PSD stage packed into four-lane groups across requests
+  /// (pipeline/batch.hpp). Outcome [i] — analysis or captured error — is
+  /// bit-identical to analyze_filtered(*items[i].filtered, items[i].cancel);
+  /// one request's failure leaves its lane-mates untouched. `graph`
+  /// optionally receives per-stage occupancy and `info` reports how the pass
+  /// batched. Include pipeline/batch.hpp to call it.
+  [[nodiscard]] std::vector<pipeline::BatchOutcome> analyze_filtered_many(
+      std::span<const pipeline::BatchItem> items, pipeline::StageGraph* graph = nullptr,
+      pipeline::BatchRunInfo* info = nullptr) const;
 
   /// Trains the detection head on labeled recordings (label indices follow
   /// kMeeStateNames). Recordings whose analysis fails are skipped; at least
@@ -152,22 +171,21 @@ class EarSonar {
   [[nodiscard]] std::size_t feature_dimension() const { return extractor_.dimension(); }
 
  private:
-  // The stage bodies of analyze_filtered(), split out so the batched
-  // executor (src/pipeline/) can run the same code per stage across many
-  // requests. analyze_filtered() composes exactly these, in order; keeping
-  // one set of stage bodies is what makes batched results bit-identical.
+  /// The stage composition behind analyze_filtered() and
+  /// analyze_filtered_many(): every stage below runs over all `items` before
+  /// the next starts.
+  [[nodiscard]] std::vector<pipeline::BatchOutcome> walk(
+      std::span<const pipeline::BatchItem> items, pipeline::StageGraph* graph,
+      pipeline::BatchRunInfo* info) const;
   void stage_event_detect(const audio::Waveform& filtered, EchoAnalysis& analysis) const;
   /// Includes the min_usable_chirps floor check (may throw "degraded").
   void stage_segment(const audio::Waveform& filtered, EchoAnalysis& analysis,
                      const CancelToken& cancel) const;
-  /// `per_echo` non-null supplies precomputed per-echo PSDs
-  /// (extract_all output) for the happy path; null computes them here. The
-  /// error-recovery path always re-extracts per request.
+  /// `per_echo` non-null supplies this request's slice of the shared echo_psd
+  /// pass; null recomputes the PSDs here, the one per-request retry when that
+  /// pass threw. The error-recovery path always re-extracts per echo.
   void stage_features(const audio::Waveform& filtered, EchoAnalysis& analysis,
-                      const CancelToken& cancel,
                       const std::vector<dsp::Spectrum>* per_echo) const;
-
-  friend class ::earsonar::pipeline::BatchExecutor;
 
   PipelineConfig config_;
   Preprocessor preprocessor_;

@@ -1,36 +1,31 @@
-// Cross-request batched execution of the analyze() stage graph.
+// The request and result types of core::EarSonar::analyze_filtered_many, the
+// one stage composition behind offline analyze() and serving finish().
 //
-// BatchExecutor runs N requests' post-filter analyses through per-stage
-// passes instead of N independent analyze_filtered() walks: event_detect and
-// segment run per request (their work is request-serial by nature), then ONE
-// echo_psd pass packs every surviving request's chirp windows into
-// four-lane FftPlan::power_spectrum_band_x4 groups that cross request
-// boundaries, and features assembles each request's vector from its slice
-// of the shared PSD pass.
-//
-// Bit-identity contract: every value each request observes is computed by
-// the same code, in the same order, on the same inputs as a lone
-// analyze_filtered() call would use. The only cross-request sharing is the
-// lane packing, and the x4 kernel is bitwise-equal to four single calls
-// (PowerSpectrumBandX4Test), so result[i] is bit-identical to
-// pipeline.analyze_filtered(*items[i].filtered, items[i].cancel) — including
-// degraded paths: a request whose chirps drop mid-batch re-runs its features
-// recovery exactly as the unbatched path does, without disturbing lane-mates.
+// The walk runs N requests' post-filter analyses stage by stage:
+// event_detect and segment run per request (their work is request-serial by
+// nature), then ONE echo_psd pass packs every surviving request's chirp
+// windows into four-lane FftPlan::power_spectrum_band_x4 groups that cross
+// request boundaries, and features assembles each request's vector from its
+// slice of the shared PSD pass. analyze_filtered() is this walk over one
+// request, so result[i] equals analyze_filtered(*items[i].filtered,
+// items[i].cancel) by construction, degraded paths included. The only
+// cross-request sharing is the lane packing, and the x4 kernel is
+// bitwise-equal to four single calls (PowerSpectrumBandX4Test).
 //
 // Timing: each request's `timings.feature_ms` is its own feature assembly
 // plus its lane share of the shared echo_psd pass (pass time x its chirp
-// windows / all windows), so a batch of one reports what analyze_filtered()
-// reports and the shares over a batch sum to the pass time.
+// windows / all windows), so the shares over a batch sum to the pass time.
 //
 // Error isolation: one request's exception (degradation floor, cancellation)
-// is captured in its BatchOutcome; lane-mates proceed. A failure of the
-// shared PSD pass itself — or the `pipeline.batch` fault point — falls back
-// to fully per-request processing for the affected requests.
+// is captured in its BatchOutcome; lane-mates proceed. When the shared PSD
+// pass itself throws (e.g. an injected FFT fault), each of its requests
+// recomputes its own PSDs once; only a repeat failure reaches per-echo
+// recovery and marks that request degraded. The `pipeline.batch` fault point
+// runs every request as its own batch of one.
 #pragma once
 
+#include <cstddef>
 #include <exception>
-#include <span>
-#include <vector>
 
 #include "audio/waveform.hpp"
 #include "common/cancel.hpp"
@@ -63,27 +58,11 @@ struct BatchOutcome {
 /// How one batched pass executed, for serving metrics.
 struct BatchRunInfo {
   bool psd_batched = false;      ///< the shared echo_psd pass ran
-  bool forced_fallback = false;  ///< pipeline.batch fault forced per-request mode
+  bool forced_fallback = false;  ///< pipeline.batch fault forced batches of one
+  bool psd_retried = false;      ///< a shared echo_psd pass threw; its requests
+                                 ///<   recomputed their own PSDs
   std::size_t psd_lanes = 0;     ///< chirp windows carried by the shared pass
   double psd_ms = 0.0;           ///< wall time of the shared pass
-};
-
-class BatchExecutor {
- public:
-  /// `graph` (optional) receives per-stage occupancy; it must outlive the
-  /// executor's calls.
-  explicit BatchExecutor(StageGraph* graph = nullptr) : graph_(graph) {}
-
-  /// analyze_filtered() for every item, batched per stage. Outcome [i] is
-  /// bit-identical to pipeline.analyze_filtered(*items[i].filtered,
-  /// items[i].cancel) run alone. All items must target the same `pipeline`
-  /// (the serving engine builds every session from one config).
-  std::vector<BatchOutcome> analyze_filtered(const core::EarSonar& pipeline,
-                                             std::span<const BatchItem> items,
-                                             BatchRunInfo* info = nullptr) const;
-
- private:
-  StageGraph* graph_;
 };
 
 }  // namespace earsonar::pipeline

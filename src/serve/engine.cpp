@@ -460,7 +460,7 @@ void ServingEngine::run_earsonar(std::span<const Admitted> group) {
     pipeline::BatchRunInfo info;
     std::vector<pipeline::BatchOutcome> outcomes = StreamingSession::finish_many(
         finish_sessions, finish_cancels, &stage_graph_, &info);
-    if (info.forced_fallback)
+    if (info.forced_fallback || info.psd_retried)
       metrics_.batch_fallbacks.fetch_add(1, std::memory_order_relaxed);
     for (std::size_t r = 0; r < finish_lanes.size(); ++r)
       lanes[finish_lanes[r]].outcome = std::move(outcomes[r]);

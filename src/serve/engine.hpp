@@ -69,9 +69,9 @@ struct EngineConfig {
   /// up to this many requests (lingering at most batch_wait_us for
   /// stragglers), then runs them through the stage graph as ONE batch —
   /// shared MultiBiquadCascade filter passes during ingest and
-  /// cross-request x4 lanes in the echo-PSD stage (pipeline::BatchExecutor).
-  /// 1 runs every request as a batch of one, through the same code, with no
-  /// linger. Results are bit-identical at every width; see docs/serving.md
+  /// cross-request x4 lanes in the echo-PSD stage
+  /// (EarSonar::analyze_filtered_many). 1 runs every request as a batch of
+  /// one, through the same code, with no linger. Results are bit-identical at every width; see docs/serving.md
   /// "Batching semantics".
   std::size_t batch_max = 1;
   /// Microseconds a batch-leading worker lingers for more requests after its

@@ -202,9 +202,8 @@ std::vector<pipeline::BatchOutcome> StreamingSession::finish_many(
     }
   }
   if (items.empty()) return out;
-  const pipeline::BatchExecutor exec(graph);
   std::vector<pipeline::BatchOutcome> results =
-      exec.analyze_filtered(sessions[idx.front()]->pipeline_, items, info);
+      sessions[idx.front()]->pipeline_.analyze_filtered_many(items, graph, info);
   for (std::size_t j = 0; j < idx.size(); ++j) {
     const std::size_t i = idx[j];
     out[i] = std::move(results[j]);

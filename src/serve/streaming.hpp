@@ -9,8 +9,8 @@
 // pass.
 //
 // finish() then produces the result by running the whole-signal pass
-// (`EarSonar::analyze_filtered` stages, through pipeline::BatchExecutor) over
-// the buffered filtered samples — event detection needs recording-global
+// (`EarSonar::analyze_filtered_many`, the walk behind analyze()) over the
+// buffered filtered samples — event detection needs recording-global
 // statistics (paper Eq. 6-7), so nothing is analyzed before the stream ends.
 // Because causal filtering commutes with chunking, finish() is bit-identical
 // — same features, same diagnosis — to `EarSonar::analyze` on the whole
@@ -97,12 +97,12 @@ class StreamingSession {
   core::EchoAnalysis finish(const CancelToken& cancel = {});
 
   /// Finalizes many sessions in one batched pass: per-session waveform
-  /// handoff runs in submission order, then a pipeline::BatchExecutor walks
-  /// the analysis stages with the echo-PSD stage batched across sessions
-  /// (cross-request x4 lanes). Outcome [i] — analysis or captured error — is
-  /// bit-identical to what EarSonar::analyze_filtered over session i's
-  /// buffered samples would return or throw; a session that captured a feed
-  /// error ends with that error. Sessions must be distinct and built from one
+  /// handoff runs in submission order, then EarSonar::analyze_filtered_many
+  /// walks the analysis stages with the echo-PSD stage batched across
+  /// sessions (cross-request x4 lanes). Outcome [i] — analysis or captured
+  /// error — is what EarSonar::analyze_filtered over session i's buffered
+  /// samples returns or throws, by construction; a session that captured a
+  /// feed error ends with that error. Sessions must be distinct and built from one
   /// pipeline config (a serving engine constructs every session from its
   /// own); `graph` optionally receives per-stage occupancy and `info`
   /// reports how the pass batched.

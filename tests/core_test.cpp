@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <string>
 
 #include "audio/chirp.hpp"
 #include "audio/noise.hpp"
@@ -277,26 +278,36 @@ TEST(AbsorptionTest, ExtractAllMatchesPerEchoExtractBitwise) {
   // extract_all routes groups of four echoes through the batched four-lane
   // band PSD with a scalar tail; every spectrum must equal the per-echo
   // extract() bit for bit (the feature vector depends on exact values).
+  // Echo counts cover the under-four path, an exact group, and ragged tails,
+  // under both the default and the echo-peak window anchor.
   audio::FmcwConfig chirp;
-  EchoSpectrumExtractor extractor;
-  extractor.set_reference(chirp);
   const audio::Waveform rec = synthetic_recording(7, 8, 0.4, 10, 0.02);
-  std::vector<EchoSegment> echoes;
-  for (std::size_t k = 0; k < 7; ++k) {
-    EchoSegment e;
-    e.event_start = k * 240;
-    e.peak_index = k * 240 + 20;
-    e.direct_peak_index = k * 240 + 12;
-    echoes.push_back(e);
-  }
-  const std::vector<dsp::Spectrum> batched = extractor.extract_all(rec, echoes);
-  ASSERT_EQ(batched.size(), echoes.size());
-  for (std::size_t k = 0; k < echoes.size(); ++k) {
-    const dsp::Spectrum single = extractor.extract(rec, echoes[k]);
-    ASSERT_EQ(batched[k].size(), single.size());
-    for (std::size_t i = 0; i < single.size(); ++i) {
-      EXPECT_EQ(batched[k].psd[i], single.psd[i]) << "echo=" << k << " bin=" << i;
-      EXPECT_EQ(batched[k].frequency_hz[i], single.frequency_hz[i]);
+  for (const WindowAnchor anchor : {WindowAnchor::kEventStart, WindowAnchor::kEchoPeak}) {
+    SpectrumConfig config;
+    config.anchor = anchor;
+    EchoSpectrumExtractor extractor(config);
+    extractor.set_reference(chirp);
+    for (const std::size_t count : {1u, 3u, 4u, 7u}) {
+      SCOPED_TRACE("anchor " + std::to_string(static_cast<int>(anchor)) +
+                   ", echoes " + std::to_string(count));
+      std::vector<EchoSegment> echoes;
+      for (std::size_t k = 0; k < count; ++k) {
+        EchoSegment e;
+        e.event_start = k * 240;
+        e.peak_index = k * 240 + 20;
+        e.direct_peak_index = k * 240 + 12;
+        echoes.push_back(e);
+      }
+      const std::vector<dsp::Spectrum> batched = extractor.extract_all(rec, echoes);
+      ASSERT_EQ(batched.size(), echoes.size());
+      for (std::size_t k = 0; k < echoes.size(); ++k) {
+        const dsp::Spectrum single = extractor.extract(rec, echoes[k]);
+        ASSERT_EQ(batched[k].size(), single.size());
+        for (std::size_t i = 0; i < single.size(); ++i) {
+          EXPECT_EQ(batched[k].psd[i], single.psd[i]) << "echo=" << k << " bin=" << i;
+          EXPECT_EQ(batched[k].frequency_hz[i], single.frequency_hz[i]);
+        }
+      }
     }
   }
 }

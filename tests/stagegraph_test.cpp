@@ -7,6 +7,7 @@
 
 #include <chrono>
 #include <cstddef>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,12 +26,13 @@
 namespace earsonar {
 namespace {
 
-// Realistic screening recordings (10 chirps each); distinct seeds give each
-// "request" distinct audio so lane crosstalk would be visible.
-audio::Waveform test_recording(std::uint64_t seed) {
+// Realistic screening recordings (10 chirps each unless asked otherwise);
+// distinct seeds give each "request" distinct audio so lane crosstalk would
+// be visible.
+audio::Waveform test_recording(std::uint64_t seed, std::size_t chirps = 10) {
   sim::SubjectFactory factory(42);
   sim::ProbeConfig pc;
-  pc.chirp_count = 10;
+  pc.chirp_count = chirps;
   sim::EarProbe probe(pc);
   Rng rng(seed);
   return probe.record_state(factory.make(0), sim::EffusionState::kClear,
@@ -258,6 +260,65 @@ TEST(StageGraphBatchTest, PipelineBatchFaultFallsBackPerRequest) {
   }
 }
 
+// Offline analyze() and serving finish() run one walk, so a failed shared
+// echo-PSD pass resolves the same way on both: the request recomputes its
+// own PSDs once and, when that succeeds, stays undegraded. The pipeline and
+// sessions are built before the fault is armed, because each construction
+// runs one transform (set_reference).
+TEST(StageGraphBatchTest, FailedSharedPsdPassRetriesOnceOnEveryPath) {
+  const audio::Waveform recording = test_recording(900, 30);
+  const core::EarSonar pipeline(causal_config());
+  const core::EchoAnalysis clean = pipeline.analyze(recording);
+  ASSERT_TRUE(clean.usable());
+  std::unique_ptr<serve::StreamingSession> session = fed_session(recording);
+
+  core::EchoAnalysis offline;
+  {
+    fault::ScopedFault guard("fft.execute=nth:1");
+    offline = pipeline.analyze(recording);
+  }
+  core::EchoAnalysis streamed;
+  {
+    fault::ScopedFault guard("fft.execute=nth:1");
+    streamed = session->finish();
+  }
+  EXPECT_FALSE(offline.quality.degraded);
+  EXPECT_TRUE(offline.quality.drops.empty());
+  expect_bit_identical(offline, clean);
+  expect_bit_identical(streamed, offline);
+
+  // Under the same fault, one batch of three equals three batches of one.
+  const std::size_t kRequests = 3;
+  std::vector<audio::Waveform> recordings;
+  for (std::size_t i = 0; i < kRequests; ++i)
+    recordings.push_back(test_recording(901 + i, 30));
+  auto finish_in_batches = [&](std::size_t batch) {
+    std::vector<std::unique_ptr<serve::StreamingSession>> sessions;
+    std::vector<serve::StreamingSession*> ptrs;
+    for (const audio::Waveform& r : recordings) {
+      sessions.push_back(fed_session(r));
+      ptrs.push_back(sessions.back().get());
+    }
+    const std::vector<CancelToken> cancels(kRequests);
+    fault::ScopedFault guard("fft.execute=nth:1");
+    std::vector<pipeline::BatchOutcome> out;
+    for (std::size_t i = 0; i < kRequests; i += batch)
+      for (pipeline::BatchOutcome& outcome : serve::StreamingSession::finish_many(
+               std::span(ptrs).subspan(i, batch),
+               std::span(cancels).subspan(i, batch)))
+        out.push_back(std::move(outcome));
+    return out;
+  };
+  const std::vector<pipeline::BatchOutcome> together = finish_in_batches(kRequests);
+  const std::vector<pipeline::BatchOutcome> alone = finish_in_batches(1);
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    SCOPED_TRACE("request " + std::to_string(i));
+    ASSERT_TRUE(together[i].ok());
+    ASSERT_TRUE(alone[i].ok());
+    expect_bit_identical(together[i].analysis, alone[i].analysis);
+  }
+}
+
 // One bad session (nothing fed) must fail alone; lane-mates still finish
 // with exact results.
 TEST(StageGraphBatchTest, EmptySessionFailsWithoutTakingDownLaneMates) {
@@ -404,6 +465,56 @@ TEST(StageGraphEngineTest, BatchOfOneRecordsEveryStage) {
     EXPECT_EQ(stats.batched_items.load(), 0u);  // a batch of one shares nothing
   }
   EXPECT_EQ(engine.metrics().batches.load(), 0u);
+}
+
+// A shared echo-PSD pass that throws is retried per request and counted as
+// one batch fallback: both whole uploads still return the undegraded,
+// bit-identical answer of an in-process causal analyze().
+TEST(StageGraphEngineTest, FailedSharedPsdPassCountsOneBatchFallback) {
+  const std::size_t kRequests = 2;
+  const core::EarSonar pipeline(causal_config());
+  std::vector<audio::Waveform> recordings;
+  std::vector<core::EchoAnalysis> baselines;
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    recordings.push_back(test_recording(1000 + i));
+    baselines.push_back(pipeline.analyze(recordings.back()));
+  }
+
+  serve::EngineConfig cfg;
+  cfg.workers = 1;  // one worker so both requests ride one batch
+  cfg.queue_capacity = 16;
+  cfg.session.pipeline = causal_config();
+  cfg.batch_max = 4;
+  cfg.batch_wait_us = 200000;  // generous linger: the test submits fast
+  serve::ServingEngine engine(cfg);
+  engine.start();
+  // Each lane's session construction runs one transform (set_reference), so
+  // transform kRequests + 1 is the first one inside the shared echo_psd pass.
+  fault::ScopedFault guard("fft.execute=nth:" + std::to_string(kRequests + 1));
+  std::vector<std::future<serve::ServeResult>> futures;
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    serve::ServeRequest request;
+    request.id = "r" + std::to_string(i);
+    request.recording = recordings[i];
+    serve::Submission sub = engine.submit(std::move(request));
+    ASSERT_TRUE(sub.accepted) << sub.reason;
+    futures.push_back(std::move(sub.result));
+  }
+  std::vector<serve::ServeResult> results;
+  for (auto& future : futures) results.push_back(future.get());
+  engine.stop();
+
+  EXPECT_EQ(engine.metrics().batched_requests.load(), kRequests);
+  EXPECT_EQ(engine.metrics().batch_fallbacks.load(), 1u);
+  EXPECT_NE(engine.metrics_snapshot().find("earsonar_serve_batch_fallbacks_total 1\n"),
+            std::string::npos);
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    SCOPED_TRACE(results[i].id);
+    EXPECT_TRUE(results[i].error.empty()) << results[i].error;
+    EXPECT_FALSE(results[i].quality.degraded);
+    EXPECT_TRUE(results[i].quality.drops.empty());
+    EXPECT_EQ(results[i].features, baselines[i].features);
+  }
 }
 
 // Deadline-mid-linger shed: a request whose deadline expires while the batch
