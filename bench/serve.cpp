@@ -87,7 +87,10 @@ SweepPoint run_paced(const audio::Waveform& recording, std::size_t workers,
   futures.reserve(requests);
   for (std::size_t i = 0; i < requests; ++i) {
     serve::ServeRequest request;
-    request.id = "r" + std::to_string(i);
+    // Appended, not "r" + std::to_string(i): GCC 12 flags that operator+
+    // with a false-positive -Wrestrict (also below).
+    request.id = "r";
+    request.id += std::to_string(i);
     request.recording = recording;
     request.chunk_period_s = chunk_period_s;
     serve::Submission sub = engine.submit(std::move(request));
@@ -126,7 +129,8 @@ ChunkPoint run_chunk(const audio::Waveform& recording, std::size_t chunk,
   std::vector<std::future<serve::ServeResult>> futures;
   for (std::size_t i = 0; i < requests; ++i) {
     serve::ServeRequest req;
-    req.id = "c" + std::to_string(i);
+    req.id = "c";
+    req.id += std::to_string(i);
     req.recording = recording;
     serve::Submission sub = engine.submit(std::move(req));
     if (sub.accepted) futures.push_back(std::move(sub.result));
@@ -162,7 +166,8 @@ OverloadResult run_overload(const audio::Waveform& recording) {
   std::vector<std::future<serve::ServeResult>> futures;
   for (std::size_t i = 0; i < result.submitted; ++i) {
     serve::ServeRequest request;
-    request.id = "o" + std::to_string(i);
+    request.id = "o";
+    request.id += std::to_string(i);
     request.recording = recording;
     request.chunk_samples = recording.size() / 4 + 1;
     request.chunk_period_s = 0.005;  // slow enough that the burst outruns it

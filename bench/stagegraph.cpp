@@ -92,7 +92,10 @@ BatchPoint run_batch(const audio::Waveform& recording, std::size_t batch_max,
   futures.reserve(requests);
   for (std::size_t i = 0; i < requests; ++i) {
     serve::ServeRequest req;
-    req.id = "b" + std::to_string(i);
+    // Appended, not "b" + std::to_string(i): GCC 12 flags that operator+
+    // with a false-positive -Wrestrict.
+    req.id = "b";
+    req.id += std::to_string(i);
     req.recording = recording;
     serve::Submission sub = engine.submit(std::move(req));
     if (sub.accepted) futures.push_back(std::move(sub.result));

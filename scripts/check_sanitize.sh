@@ -10,10 +10,12 @@
 #      injection, fuzz replay, the socket front-end's loopback suite and
 #      frame-decoder replay, the shard lifecycle / failure-recovery drills,
 #      and the trajectory-synthesis + cohort-CUSUM suite) plus the
-#      full `oracle` and `simd` labels: the
+#      full `oracle`, `simd` and `ml` labels: the
 #      differential oracle drives every optimized kernel through denormals,
 #      primes, and edge-case sizes, exactly where UB likes to hide, and the
-#      simd suite covers the dispatch layer's intrinsics. This flavor's
+#      simd suite covers the dispatch layer's intrinsics, and the ml suite
+#      runs the flat-index distance and kNN-graph arithmetic of the
+#      Laplacian score against its dense reference. This flavor's
 #      ctest pass runs TWICE — once with EARSONAR_SIMD=native and once with
 #      EARSONAR_SIMD=scalar — so both kernel sets (intrinsics and the Pack
 #      emulation) execute under the sanitizers.
@@ -65,9 +67,9 @@ run_flavor() {
 }
 
 run_flavor asan address,undefined \
-           'serve|stagegraph|fault|oracle|simd|net|chaos|longitudinal' \
+           'serve|stagegraph|fault|oracle|simd|net|chaos|longitudinal|ml' \
            'native scalar' \
-           serve_test stagegraph_test fault_test wav_fuzz_replay simd_test \
+           serve_test stagegraph_test fault_test wav_fuzz_replay simd_test ml_test \
            net_test chaos_test frame_fuzz_replay longitudinal_test \
            oracle_fft_test oracle_dsp_test oracle_stats_test \
            oracle_stream_test oracle_golden_test
@@ -76,4 +78,4 @@ run_flavor tsan thread \
            serve_test stagegraph_test fault_test wav_fuzz_replay net_test \
            chaos_test frame_fuzz_replay oracle_stream_test longitudinal_test
 
-echo "check_sanitize: OK (address,undefined over serve|stagegraph|fault|oracle|simd|net|chaos|longitudinal at both SIMD levels + thread over serve|stagegraph|fault|oracle_stream|net|chaos|longitudinal)"
+echo "check_sanitize: OK (address,undefined over serve|stagegraph|fault|oracle|simd|net|chaos|longitudinal|ml at both SIMD levels + thread over serve|stagegraph|fault|oracle_stream|net|chaos|longitudinal)"

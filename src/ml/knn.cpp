@@ -22,12 +22,14 @@ std::size_t KnnClassifier::predict(const std::vector<double>& x) const {
   require(fitted(), "KnnClassifier: predict before fit");
   const std::size_t k = std::min(k_, train_x_.size());
 
+  std::vector<double> dist(train_x_.size());
+  for (std::size_t i = 0; i < dist.size(); ++i) dist[i] = squared_distance(train_x_[i], x);
   std::vector<std::size_t> order(train_x_.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
+  // Ties in distance go to the smaller training index.
   std::partial_sort(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(k),
-                    order.end(), [&](std::size_t a, std::size_t b) {
-                      return squared_distance(train_x_[a], x) <
-                             squared_distance(train_x_[b], x);
+                    order.end(), [&dist](std::size_t a, std::size_t b) {
+                      return dist[a] < dist[b] || (dist[a] == dist[b] && a < b);
                     });
 
   std::vector<std::size_t> votes;

@@ -16,8 +16,9 @@ class KnnClassifier {
   /// Stores the training set (lazy learner).
   void fit(Matrix x, std::vector<std::size_t> y);
 
-  /// Majority vote among the k nearest training samples; ties break toward
-  /// the smaller class index.
+  /// Majority vote among the k nearest training samples (distance ties go to
+  /// the earlier training sample); vote ties break toward the smaller class
+  /// index.
   [[nodiscard]] std::size_t predict(const std::vector<double>& x) const;
 
   [[nodiscard]] bool fitted() const { return !train_x_.empty(); }

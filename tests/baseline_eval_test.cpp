@@ -52,7 +52,7 @@ TEST(ChanTest, FitPredictOnSimulatedData) {
 TEST(ChanTest, PredictBeforeFitThrows) {
   baseline::ChanDetector chan;
   const std::vector<double> features(chan.feature_dimension(), 0.0);
-  EXPECT_THROW(chan.predict_features(features), std::invalid_argument);
+  EXPECT_THROW((void)chan.predict_features(features), std::invalid_argument);
 }
 
 TEST(ChanTest, ShortRecordingThrows) {

@@ -530,7 +530,7 @@ TEST(PipelineTest, AnalyzeIsDeterministic) {
 TEST(PipelineTest, DiagnoseBeforeFitThrows) {
   EarSonar pipeline;
   const audio::Waveform rec = synthetic_recording(2, 8, 0.3, 16);
-  EXPECT_THROW(pipeline.diagnose(rec), std::invalid_argument);
+  EXPECT_THROW((void)pipeline.diagnose(rec), std::invalid_argument);
 }
 
 TEST(PipelineTest, FitAndDiagnoseEndToEnd) {

@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <numeric>
 #include <set>
 
 #include "common/rng.hpp"
@@ -228,6 +231,112 @@ TEST(LaplacianTest, SelectCountBounds) {
   EXPECT_THROW(select_best_features(scores, 3), std::invalid_argument);
 }
 
+// The dense n x n formulation of the Laplacian score, kept here as the
+// reference for the sparse kNN-graph implementation. kNN ties follow the
+// (distance, index) rule through stable_sort.
+std::vector<double> dense_laplacian_scores(const Matrix& data, const LaplacianConfig& config) {
+  const std::size_t n = data.size();
+  const std::size_t d = data.front().size();
+  const std::size_t k = std::min(config.neighbors, n - 1);
+  std::vector<std::vector<double>> dist(n, std::vector<double>(n, 0.0));
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = i + 1; j < n; ++j)
+      dist[i][j] = dist[j][i] = squared_distance(data[i], data[j]);
+
+  std::vector<std::vector<std::size_t>> knn(n);
+  double mean_knn_dist2 = 0.0;
+  std::size_t knn_edges = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<std::size_t> order(n);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) { return dist[i][a] < dist[i][b]; });
+    for (std::size_t j = 0; j < n && knn[i].size() < k; ++j) {
+      if (order[j] == i) continue;
+      knn[i].push_back(order[j]);
+      mean_knn_dist2 += dist[i][order[j]];
+      ++knn_edges;
+    }
+  }
+  mean_knn_dist2 = std::max(mean_knn_dist2 / static_cast<double>(knn_edges), 1e-12);
+  const double t = config.heat_sigma * mean_knn_dist2;
+
+  std::vector<std::vector<double>> w(n, std::vector<double>(n, 0.0));
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j : knn[i]) {
+      const double weight = std::exp(-dist[i][j] / t);
+      w[i][j] = std::max(w[i][j], weight);
+      w[j][i] = w[i][j];
+    }
+
+  std::vector<double> degree(n, 0.0);
+  double total_degree = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) degree[i] += w[i][j];
+    total_degree += degree[i];
+  }
+
+  std::vector<double> scores(d, std::numeric_limits<double>::max());
+  for (std::size_t f = 0; f < d; ++f) {
+    double weighted_mean = 0.0;
+    for (std::size_t i = 0; i < n; ++i) weighted_mean += data[i][f] * degree[i];
+    weighted_mean /= std::max(total_degree, 1e-12);
+    double smoothness = 0.0;
+    double variance = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double fi = data[i][f] - weighted_mean;
+      variance += fi * fi * degree[i];
+      for (std::size_t j = 0; j < n; ++j) {
+        const double fj = data[j][f] - weighted_mean;
+        smoothness += w[i][j] * (fi - fj) * (fi - fj);
+      }
+    }
+    smoothness /= 2.0;
+    if (variance > 1e-12) scores[f] = smoothness / variance;
+  }
+  return scores;
+}
+
+TEST(LaplacianTest, SparseGraphMatchesDenseReferenceBitwise) {
+  struct Shape {
+    std::size_t n, d, neighbors;
+    double sigma, scale;
+    bool constant_column, duplicate_rows;
+  };
+  const std::vector<Shape> shapes = {
+      {2, 3, 5, 1.0, 1.0, false, false},     // neighbors > n - 1
+      {3, 1, 2, 1.0, 1.0, false, false},     // neighbors == n - 1
+      {5, 4, 1, 1.0, 1.0, false, false},
+      {7, 6, 6, 0.5, 1.0, true, false},      // complete graph, constant column
+      {13, 9, 5, 1.0, 1.0, false, true},     // exact distance ties
+      {21, 17, 5, 1.0, 1.0, true, true},
+      {33, 25, 4, 2.0, 3.0, false, false},
+      {40, 11, 5, 1.5e-3, 100.0, false, false},  // zero, subnormal and normal weights
+      {40, 11, 5, 1e-6, 100.0, false, false},    // every heat weight underflows to 0
+      {47, 8, 3, 1.0, 1.0, false, true},
+      {60, 105, 5, 1.0, 1.0, true, false},
+  };
+  std::uint64_t seed = 100;
+  for (const Shape& s : shapes) {
+    earsonar::Rng rng(seed++);
+    Matrix data(s.n, std::vector<double>(s.d));
+    for (auto& row : data)
+      for (double& v : row) v = s.scale * rng.normal(0, 1);
+    if (s.constant_column)
+      for (auto& row : data) row[s.d / 2] = 3.5;
+    if (s.duplicate_rows)
+      for (std::size_t i = 1; i < s.n; i += 3) data[i] = data[i / 2];
+    LaplacianConfig config;
+    config.neighbors = s.neighbors;
+    config.heat_sigma = s.sigma;
+    const std::vector<double> expected = dense_laplacian_scores(data, config);
+    const std::vector<double> actual = laplacian_scores(data, config);
+    ASSERT_EQ(actual.size(), expected.size());
+    EXPECT_EQ(std::memcmp(actual.data(), expected.data(), actual.size() * sizeof(double)), 0)
+        << "n=" << s.n << " d=" << s.d << " neighbors=" << s.neighbors;
+  }
+}
+
 // ------------------------------------------------------------------ scaler
 
 TEST(ScalerTest, TransformsToZeroMeanUnitVar) {
@@ -312,6 +421,40 @@ TEST(KnnTest, KLargerThanTrainingSetWorks) {
   KnnClassifier knn(10);
   knn.fit(x, y);
   EXPECT_EQ(knn.predict({0.5, 0.5}), 0u);
+}
+
+TEST(KnnTest, MatchesBruteForceVoting) {
+  // Integer coordinates on a small grid make exact distance ties common;
+  // the reference scans for the nearest unused sample, smaller index first.
+  earsonar::Rng rng(16);
+  Matrix x;
+  std::vector<std::size_t> y;
+  for (int i = 0; i < 40; ++i) {
+    x.push_back({std::floor(rng.uniform(0, 5)), std::floor(rng.uniform(0, 5))});
+    y.push_back(static_cast<std::size_t>(std::floor(rng.uniform(0, 3))));
+  }
+  for (std::size_t k : {1u, 2u, 4u, 7u}) {
+    KnnClassifier knn(k);
+    knn.fit(x, y);
+    for (int q = 0; q < 25; ++q) {
+      const std::vector<double> query{std::floor(rng.uniform(0, 5)),
+                                      std::floor(rng.uniform(0, 5))};
+      std::vector<bool> used(x.size(), false);
+      std::vector<std::size_t> votes(3, 0);
+      for (std::size_t m = 0; m < k; ++m) {
+        std::size_t best = x.size();
+        for (std::size_t i = 0; i < x.size(); ++i)
+          if (!used[i] && (best == x.size() || squared_distance(x[i], query) <
+                                                   squared_distance(x[best], query)))
+            best = i;
+        used[best] = true;
+        votes[y[best]]++;
+      }
+      const auto expected = static_cast<std::size_t>(
+          std::max_element(votes.begin(), votes.end()) - votes.begin());
+      EXPECT_EQ(knn.predict(query), expected) << "k=" << k << " q=" << q;
+    }
+  }
 }
 
 TEST(KnnTest, ZeroKRejected) { EXPECT_THROW(KnnClassifier(0), std::invalid_argument); }

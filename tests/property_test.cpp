@@ -129,9 +129,10 @@ TEST_P(KMeansSweep, SeparatedBlobsAreRecoveredAtAnyDimension) {
   // Every cluster must be label-pure.
   for (std::size_t i = 0; i < data.size(); ++i)
     for (std::size_t j = i + 1; j < data.size(); ++j)
-      if (truth[i] == truth[j])
+      if (truth[i] == truth[j]) {
         EXPECT_EQ(result.labels[i], result.labels[j])
             << "k=" << k << " dims=" << dims;
+      }
 }
 
 TEST_P(KMeansSweep, InertiaIsSumOfSquaredResiduals) {

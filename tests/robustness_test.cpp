@@ -51,8 +51,9 @@ TEST(RobustnessTest, PureNoiseYieldsAtMostSpuriousBlips) {
   noise.scale(0.001);
   const auto analysis = shared_pipeline().analyze(noise);
   EXPECT_LE(analysis.echoes.size(), 3u);
-  if (analysis.usable())
+  if (analysis.usable()) {
     for (double f : analysis.features) EXPECT_TRUE(std::isfinite(f));
+  }
 }
 
 TEST(RobustnessTest, SingleChirpRecordingStillAnalyzes) {
@@ -71,16 +72,18 @@ TEST(RobustnessTest, TruncatedMidChirpRecordingDoesNotCrash) {
   const audio::Waveform cut = rec.slice(0, 3 * 240 + 12);
   const auto analysis = shared_pipeline().analyze(cut);
   EXPECT_GE(analysis.events.size(), 3u);
-  if (analysis.usable())
+  if (analysis.usable()) {
     for (double f : analysis.features) EXPECT_TRUE(std::isfinite(f));
+  }
 }
 
 TEST(RobustnessTest, HardClippedRecordingStaysFinite) {
   audio::Waveform rec = simulated_recording(2, 8, sim::EffusionState::kMucoid, 4);
   for (double& s : rec.samples()) s = std::clamp(s * 50.0, -1.0, 1.0);
   const auto analysis = shared_pipeline().analyze(rec);
-  if (analysis.usable())
+  if (analysis.usable()) {
     for (double f : analysis.features) EXPECT_TRUE(std::isfinite(f));
+  }
 }
 
 TEST(RobustnessTest, DcOffsetIsFilteredOut) {
@@ -114,8 +117,9 @@ TEST(RobustnessTest, ExtremeAmbientNoiseDegradesButNeverCrashes) {
       factory.make(5), sim::EffusionState::kClear, sim::reference_earphone(),
       hostile, rng);
   const auto analysis = shared_pipeline().analyze(rec);
-  if (analysis.usable())
+  if (analysis.usable()) {
     for (double f : analysis.features) EXPECT_TRUE(std::isfinite(f));
+  }
 }
 
 TEST(RobustnessTest, VeryShortRecordingHandled) {
@@ -212,8 +216,9 @@ TEST(RobustnessTest, CompetingUltrasonicToneDoesNotPoisonFeatures) {
   for (std::size_t i = 0; i < rec.size(); ++i)
     rec.samples()[i] += 0.002 * std::sin(2 * std::numbers::pi * 18000.0 * i / 48000.0);
   const auto analysis = shared_pipeline().analyze(rec);
-  if (analysis.usable())
+  if (analysis.usable()) {
     for (double f : analysis.features) EXPECT_TRUE(std::isfinite(f));
+  }
 }
 
 TEST(RobustnessTest, ImpulsiveClicksAreToleranted) {

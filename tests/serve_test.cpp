@@ -404,6 +404,14 @@ serve::EngineConfig small_engine(std::size_t workers, std::size_t queue) {
   return cfg;
 }
 
+// An EarSonar upload with the engine's defaults for everything else.
+serve::ServeRequest upload(std::string id, audio::Waveform recording) {
+  serve::ServeRequest request;
+  request.id = std::move(id);
+  request.recording = std::move(recording);
+  return request;
+}
+
 TEST(ServingEngineTest, DiagnosesMatchDirectPrediction) {
   const audio::Waveform recording = test_recording();
   const core::EarSonar batch_pipeline(causal_config());
@@ -414,7 +422,7 @@ TEST(ServingEngineTest, DiagnosesMatchDirectPrediction) {
   serve::ServingEngine engine(small_engine(2, 8));
   engine.registry().install(tiny_model(), "test");
   engine.start();
-  serve::Submission sub = engine.submit({"r0", recording});
+  serve::Submission sub = engine.submit(upload("r0", recording));
   ASSERT_TRUE(sub.accepted) << sub.reason;
   const serve::ServeResult result = sub.result.get();
   engine.stop();
@@ -441,7 +449,10 @@ TEST(ServingEngineTest, FullQueueRejectsWithReasonAndDropsNothing) {
   std::string reason;
   for (int i = 0; i < 10; ++i) {
     serve::ServeRequest request;
-    request.id = "r" + std::to_string(i);
+    // Appended, not "r" + std::to_string(i): GCC 12 flags that operator+
+    // with a false-positive -Wrestrict.
+    request.id = "r";
+    request.id += std::to_string(i);
     request.recording = recording;
     request.chunk_samples = recording.size() / 4 + 1;
     request.chunk_period_s = 0.02;
@@ -470,7 +481,7 @@ TEST(ServingEngineTest, FullQueueRejectsWithReasonAndDropsNothing) {
 
 TEST(ServingEngineTest, SubmitWhileStoppedIsRejected) {
   serve::ServingEngine engine(small_engine(1, 4));
-  serve::Submission sub = engine.submit({"r0", test_recording()});
+  serve::Submission sub = engine.submit(upload("r0", test_recording()));
   EXPECT_FALSE(sub.accepted);
   EXPECT_NE(sub.reason.find("not running"), std::string::npos);
   EXPECT_EQ(engine.metrics().rejected_stopped.load(), 1u);
@@ -482,13 +493,13 @@ TEST(ServingEngineTest, HotSwapChangesModelForLaterRequests) {
   engine.registry().install(tiny_model(), "v1");
   engine.start();
 
-  serve::Submission first = engine.submit({"r0", recording});
+  serve::Submission first = engine.submit(upload("r0", recording));
   ASSERT_TRUE(first.accepted);
   const serve::ServeResult r0 = first.result.get();
   EXPECT_EQ(r0.model_version, 1u);
 
   EXPECT_EQ(engine.registry().install(tiny_model(1.0), "v2"), 2u);
-  serve::Submission second = engine.submit({"r1", recording});
+  serve::Submission second = engine.submit(upload("r1", recording));
   ASSERT_TRUE(second.accepted);
   const serve::ServeResult r1 = second.result.get();
   EXPECT_EQ(r1.model_version, 2u);
@@ -510,8 +521,8 @@ TEST(ServingEngineTest, ConcurrentSubmittersAndSwapsStayConsistent) {
     submitters.emplace_back([&, t] {
       for (int i = 0; i < 4; ++i) {
         serve::Submission sub =
-            engine.submit({"t" + std::to_string(t) + "-" + std::to_string(i),
-                           recording});
+            engine.submit(upload("t" + std::to_string(t) + "-" + std::to_string(i),
+                                 recording));
         if (sub.accepted) {
           std::lock_guard<std::mutex> lock(futures_mutex);
           futures.push_back(std::move(sub.result));
@@ -549,7 +560,7 @@ TEST(ServingEngineTest, StopDrainsAcceptedWorkAndRestarts) {
   engine.start();
   std::vector<std::future<serve::ServeResult>> futures;
   for (int i = 0; i < 4; ++i) {
-    serve::Submission sub = engine.submit({"r" + std::to_string(i), recording});
+    serve::Submission sub = engine.submit(upload("r" + std::to_string(i), recording));
     if (sub.accepted) futures.push_back(std::move(sub.result));
   }
   engine.stop();  // must drain, not drop
@@ -557,7 +568,7 @@ TEST(ServingEngineTest, StopDrainsAcceptedWorkAndRestarts) {
     EXPECT_TRUE(future.get().error.empty());
 
   engine.start();  // restart works
-  serve::Submission sub = engine.submit({"again", recording});
+  serve::Submission sub = engine.submit(upload("again", recording));
   ASSERT_TRUE(sub.accepted) << sub.reason;
   EXPECT_TRUE(sub.result.get().error.empty());
   engine.stop();
@@ -640,7 +651,7 @@ TEST(ServingEngineChaosTest, StreamFeedFaultFailsOneRequestNotTheEngine) {
   engine.start();
   {
     fault::ScopedFault guard("serve.stream.feed=nth:1");
-    serve::Submission sub = engine.submit({"faulted", recording});
+    serve::Submission sub = engine.submit(upload("faulted", recording));
     ASSERT_TRUE(sub.accepted) << sub.reason;
     const serve::ServeResult result = sub.result.get();
     EXPECT_NE(result.error.find("injected fault: serve.stream.feed"),
@@ -648,7 +659,7 @@ TEST(ServingEngineChaosTest, StreamFeedFaultFailsOneRequestNotTheEngine) {
         << result.error;
   }
   // The worker survives the injected failure and serves the next request.
-  serve::Submission sub = engine.submit({"healthy", recording});
+  serve::Submission sub = engine.submit(upload("healthy", recording));
   ASSERT_TRUE(sub.accepted) << sub.reason;
   const serve::ServeResult result = sub.result.get();
   engine.stop();
@@ -715,11 +726,11 @@ TEST(ServingEngineChaosTest, QueuePushFaultLooksLikeBackpressure) {
   engine.start();
   {
     fault::ScopedFault guard("serve.queue.push=always");
-    serve::Submission sub = engine.submit({"rejected", recording});
+    serve::Submission sub = engine.submit(upload("rejected", recording));
     EXPECT_FALSE(sub.accepted);
     EXPECT_NE(sub.reason.find("queue full"), std::string::npos) << sub.reason;
   }
-  serve::Submission sub = engine.submit({"accepted", recording});
+  serve::Submission sub = engine.submit(upload("accepted", recording));
   ASSERT_TRUE(sub.accepted) << sub.reason;
   (void)sub.result.get();
   engine.stop();
@@ -736,7 +747,7 @@ TEST(ServingEngineChaosTest, DegradedRequestCompletesAndIsCounted) {
     // Every 5th per-chirp segmentation throws inside the authoritative
     // finish() pass; the request must still complete, flagged degraded.
     fault::ScopedFault guard("pipeline.segment_chirp=every:5");
-    serve::Submission sub = engine.submit({"degraded", recording});
+    serve::Submission sub = engine.submit(upload("degraded", recording));
     ASSERT_TRUE(sub.accepted) << sub.reason;
     result = sub.result.get();
   }
@@ -851,7 +862,7 @@ TEST(MixedWorkloadTest, MixedTrafficBatchesAreTypePureWithExactCounters) {
   std::vector<std::future<serve::ServeResult>> futures;
   for (std::size_t i = 0; i < kPerType; ++i) {
     serve::Submission ear = engine.submit(
-        {"ear" + std::to_string(i), recording});
+        upload("ear" + std::to_string(i), recording));
     ASSERT_TRUE(ear.accepted) << ear.reason;
     futures.push_back(std::move(ear.result));
     serve::ServeRequest abs;
@@ -898,10 +909,12 @@ TEST(MixedWorkloadTest, MixedTrafficBatchesAreTypePureWithExactCounters) {
   // traffic — absorbance rides never count toward EarSonar batches.
   EXPECT_LE(ear_counters.batched_requests.load(), kPerType);
   EXPECT_LE(abs_counters.batched_requests.load(), kPerType);
-  if (abs_counters.batches.load() > 0)
+  if (abs_counters.batches.load() > 0) {
     EXPECT_GE(abs_counters.batched_requests.load(), 2u);
-  if (ear_counters.batches.load() > 0)
+  }
+  if (ear_counters.batches.load() > 0) {
     EXPECT_GE(ear_counters.batched_requests.load(), 2u);
+  }
 
   const std::string snapshot = engine.metrics_snapshot();
   EXPECT_NE(snapshot.find("earsonar_serve_workload_requests_total{"

@@ -366,7 +366,9 @@ TEST(StageGraphBatchTest, FeatureTimingChargesLaneShareOfSharedPsdPass) {
       share_sum += outcome.psd_share_ms;
     }
     EXPECT_NEAR(share_sum, info.psd_ms, 1e-9 * (1.0 + info.psd_ms));
-    if (n == 1) EXPECT_DOUBLE_EQ(outcomes[0].psd_share_ms, info.psd_ms);
+    if (n == 1) {
+      EXPECT_DOUBLE_EQ(outcomes[0].psd_share_ms, info.psd_ms);
+    }
   }
 }
 
