@@ -49,14 +49,12 @@
 #include "common/table.hpp"
 #include "core/model_io.hpp"
 #include "core/pipeline.hpp"
-#include "core/wideband.hpp"
 #include "dsp/stft.hpp"
 #include "longitudinal/cohort.hpp"
 #include "obs/trace.hpp"
 #include "net/loadgen.hpp"
 #include "net/server.hpp"
 #include "serve/engine.hpp"
-#include "sim/absorbance.hpp"
 #include "sim/dataset.hpp"
 #include "sim/trajectory.hpp"
 
@@ -221,9 +219,6 @@ void print_serve_net_usage() {
       "  --max-sessions N    live sessions per shard          [64]\n"
       "  --max-connections N concurrent connections           [256]\n"
       "  --model FILE        detector model loaded into every shard\n"
-      "  --wideband-subjects N  simulated subjects the startup-fitted wideband\n"
-      "                      absorbance screener trains on; 0 disables the\n"
-      "                      absorbance workload          [12]\n"
       "  --deadline-ms M     default session deadline; 0 off  [0]\n"
       "  --admin             enable session-0 admin frames (live add/drain/\n"
       "                      restart/health; loadgen --chaos needs this)\n"
@@ -258,10 +253,6 @@ void print_loadgen_usage() {
       "  --chunk N         samples per chunk frame          [4800]\n"
       "  --time-scale X    chunk pacing as fraction of real time; 0 = backlogged\n"
       "  --deadline-ms M   per-session deadline; 0 = server default\n"
-      "  --workload-mix X  fraction of sessions carrying the wideband\n"
-      "                    absorbance workload instead of EarSonar audio,\n"
-      "                    seeded per session index; report splits every\n"
-      "                    counter per type [0]\n"
       "  --seed S          population / arrival RNG seed    [42]\n"
       "  --connect-timeout-ms T  bound each dial; 0 = blocking     [0]\n"
       "  --read-timeout-ms T     bound each read; 0 = no timeout   [0]\n"
@@ -288,7 +279,7 @@ void print_longitudinal_usage() {
       "subject's 18 kHz notch-depth series. Reports detection rates and mean\n"
       "delays for onsets and resolutions over the scorable change points,\n"
       "plus the false-alarm rate. Deterministic for a given seed at every\n"
-      "thread count. See docs/workloads.md for the trajectory model and the\n"
+      "thread count. See docs/longitudinal.md for the trajectory model and the\n"
       "detector math.\n"
       "\n"
       "  --subjects N       cohort size                        [112]\n"
@@ -305,19 +296,6 @@ void print_longitudinal_usage() {
 }
 
 // ------------------------------------------------------------- subcommands
-
-/// Fits the wideband absorbance screener (the second serving workload,
-/// docs/workloads.md) on a seeded simulated curve set — small enough to fit
-/// at startup, and deterministic so every shard classifies identically.
-std::shared_ptr<const core::WidebandScreener> fit_wideband_screener(
-    std::size_t subjects, std::uint64_t seed) {
-  const std::vector<double> grid = core::wideband_frequency_grid();
-  const sim::AbsorbanceDataset data =
-      sim::absorbance_dataset(subjects, /*per_state=*/2, grid, seed);
-  auto screener = std::make_shared<core::WidebandScreener>();
-  screener->fit(data.curves, data.labels);
-  return screener;
-}
 
 int cmd_simulate(const Args& args) {
   if (flag_set(args, "help")) {
@@ -594,10 +572,6 @@ int cmd_serve(const Args& args) {
   serve::ServingEngine engine(cfg);
   const std::uint64_t v0 = engine.registry().load_file(model_path);
   log_info("model v", v0, " loaded from ", model_path);
-  // Register the absorbance workload alongside EarSonar: curves submitted to
-  // this engine (in-process callers; the watch dir only yields WAVs) classify
-  // against a startup-fitted wideband screener.
-  engine.install_wideband(fit_wideband_screener(/*subjects=*/12, /*seed=*/42));
   engine.start();
   log_info("serving ", watch_dir.string(), " with ", cfg.workers,
            " workers (queue ", cfg.queue_capacity, ", chunk ", cfg.chunk_samples,
@@ -722,14 +696,6 @@ int cmd_serve_net(const Args& args) {
     log_info("model loaded into ", cfg.shards.shards, " shard(s) from ",
              model_path);
   }
-  const std::size_t wideband_subjects = static_cast<std::size_t>(
-      std::stoul(option_or(args, "wideband-subjects", "12")));
-  if (wideband_subjects > 0) {
-    server.shards().install_wideband(
-        fit_wideband_screener(wideband_subjects, /*seed=*/42));
-    log_info("wideband screener (", wideband_subjects,
-             " subjects) installed into every shard");
-  }
   server.start();
   std::printf("serve-net listening on %s:%u (%zu shards, %zu sessions/shard)\n",
               cfg.host.c_str(), server.port(), cfg.shards.shards,
@@ -780,7 +746,6 @@ int cmd_loadgen(const Args& args) {
       static_cast<std::size_t>(std::stoul(option_or(args, "chunk", "4800")));
   cfg.time_scale = std::stod(option_or(args, "time-scale", "0"));
   cfg.deadline_ms = std::stod(option_or(args, "deadline-ms", "0"));
-  cfg.workload_mix = std::stod(option_or(args, "workload-mix", "0"));
   cfg.seed = std::stoull(option_or(args, "seed", "42"));
   cfg.connect_timeout_ms = std::stoi(option_or(args, "connect-timeout-ms", "0"));
   cfg.read_timeout_ms = std::stoi(option_or(args, "read-timeout-ms", "0"));
@@ -816,9 +781,9 @@ int cmd_loadgen(const Args& args) {
     return 1;
   }
   if (!report.accounting_ok) {
-    // Broken accounting (sessions vanished, a per-type slice that does not
-    // reconcile, or attempted > 0 with nothing completed) must never exit 0
-    // — a fully-rejected run is a failed run even outside a chaos drill.
+    // Broken accounting (sessions vanished, or attempted > 0 with nothing
+    // completed) must never exit 0 — a fully-rejected run is a failed run
+    // even outside a chaos drill.
     std::fprintf(stderr, "loadgen accounting FAILED: attempted=%zu completed=%zu "
                  "rejected=%zu errored=%zu transport=%zu\n",
                  report.attempted, report.completed, report.rejected,
@@ -880,8 +845,7 @@ void print_usage() {
       "                    [--duration-s S]\n"
       "  earsonar loadgen  --port P [--sessions N] [--concurrency N]\n"
       "                    [--open-loop --rate HZ [--diurnal]] [--chaos]\n"
-      "                    [--workload-mix X] [--max-attempts N]\n"
-      "                    [--retry-budget-ms M] [--json]\n"
+      "                    [--max-attempts N] [--retry-budget-ms M] [--json]\n"
       "  earsonar longitudinal [--subjects N] [--days D] [--seed S]\n"
       "                    [--cusum-h H] [--cusum-k K] [--threads T]\n"
       "\n"

@@ -34,7 +34,11 @@ int main() {
       const auto& rec = series[picks[static_cast<std::size_t>(v)]];
       const auto analysis = pipeline.analyze(rec.waveform);
       const double level = mean(analysis.mean_spectrum.psd);
-      visits.add_row({"V" + std::to_string(v + 1),
+      // Appended, not "V" + std::to_string(...): GCC 12 flags that operator+
+      // with a false-positive -Wrestrict.
+      std::string visit = "V";
+      visit += std::to_string(v + 1);
+      visits.add_row({visit,
                       std::to_string(rec.session / 2),
                       sim::to_string(rec.state),
                       AsciiTable::format(level, 4),

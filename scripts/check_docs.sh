@@ -20,9 +20,8 @@
 #   7. docs/architecture.md must name every pipeline stage the stage graph
 #      exports (the EARSONAR_STAGE sites in src/pipeline/stage_graph.cpp),
 #      and docs/cli.md must mention every --batch-* flag the CLI parses.
-#   8. docs/workloads.md (the workload + longitudinal reference) must exist,
-#      be linked from README.md and docs/architecture.md, and name every
-#      serve::WorkloadType label the code defines.
+#   8. docs/longitudinal.md (the trajectory + change-point reference) must
+#      exist and be linked from README.md and docs/architecture.md.
 set -eu
 
 ROOT=${1:?usage: check_docs.sh REPO_ROOT [EARSONAR_BIN]}
@@ -193,24 +192,15 @@ if [ -f "$CLI_DOC" ]; then
   done
 fi
 
-# ---- 8. workload reference ------------------------------------------------
-WORKLOADS_DOC="$ROOT/docs/workloads.md"
-[ -f "$WORKLOADS_DOC" ] || err "docs/workloads.md is missing"
-
-if [ -f "$WORKLOADS_DOC" ]; then
-  grep -q "docs/workloads.md" "$ROOT/README.md" \
-    || err "README.md does not link docs/workloads.md"
-  grep -q "docs/workloads.md" "$ARCH_DOC" \
-    || err "docs/architecture.md does not link docs/workloads.md"
-  # Every wire/metric label the workload enum defines (the to_string
-  # spellings in src/serve/workload.cpp) must appear in the reference.
-  labels=$(grep -ohE 'return "[a-z]+";' "$ROOT/src/serve/workload.cpp" \
-             | sed 's/return "//; s/";//' | sort -u) || true
-  [ -n "$labels" ] || err "no workload labels found in src/serve/workload.cpp"
-  for l in $labels; do
-    grep -qF "\"$l\"" "$WORKLOADS_DOC" \
-      || err "docs/workloads.md does not name workload label '$l'"
-  done
+# ---- 8. longitudinal reference --------------------------------------------
+LONGITUDINAL_DOC="$ROOT/docs/longitudinal.md"
+if [ -f "$LONGITUDINAL_DOC" ]; then
+  grep -q "docs/longitudinal.md" "$ROOT/README.md" \
+    || err "README.md does not link docs/longitudinal.md"
+  grep -q "docs/longitudinal.md" "$ARCH_DOC" \
+    || err "docs/architecture.md does not link docs/longitudinal.md"
+else
+  err "docs/longitudinal.md is missing"
 fi
 
 if [ "$fail" -ne 0 ]; then

@@ -58,8 +58,7 @@ SessionOutcome NetClient::run_session(const audio::Waveform& recording,
   // the batch path would compute on).
   std::span<const double> samples = recording.view();
   std::vector<double> resampled;
-  if (options.workload == 0 && recording.sample_rate() != expected_rate_) {
-    // Absorbance payloads are curve bins, not audio — never resample them.
+  if (recording.sample_rate() != expected_rate_) {
     resampled = dsp::resample_to_rate(samples, recording.sample_rate(),
                                       expected_rate_);
     samples = resampled;
@@ -142,7 +141,6 @@ SessionOutcome NetClient::run_session(const audio::Waveform& recording,
     HelloPayload hello;
     hello.sample_rate = expected_rate_;
     hello.deadline_ms = options.deadline_ms;
-    hello.workload = options.workload;
     write_frame(stream_, FrameType::kHello, options.session_id,
                 encode_hello(hello));
   } catch (const std::exception& e) {

@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "common/error.hpp"
-#include "serve/workload.hpp"
 
 namespace earsonar::net {
 
@@ -225,21 +224,18 @@ std::vector<std::uint8_t> encode_hello(const HelloPayload& hello) {
   out.reserve(17);
   put_f64(out, hello.sample_rate);
   put_f64(out, hello.deadline_ms);
-  out.push_back(hello.workload);
+  out.push_back(hello.tag);
   return out;
 }
 
 std::optional<HelloPayload> decode_hello(std::span<const std::uint8_t> p) {
-  // 16 bytes is the legacy (pre-workload) Hello: rate + deadline only,
-  // implicitly the EarSonar workload. 17 bytes appends the workload tag.
+  // 16 bytes is the legacy Hello: rate + deadline only. 17 bytes appends
+  // the reserved tag byte, which must be 0.
   if (p.size() != 16 && p.size() != 17) return std::nullopt;
+  if (p.size() == 17 && p[16] != 0) return std::nullopt;
   HelloPayload hello;
   hello.sample_rate = get_f64(p, 0);
   hello.deadline_ms = get_f64(p, 8);
-  if (p.size() == 17) {
-    if (p[16] >= serve::kWorkloadTypeCount) return std::nullopt;
-    hello.workload = p[16];
-  }
   return hello;
 }
 

@@ -194,11 +194,10 @@ class FrameDecoder {
 struct HelloPayload {
   double sample_rate = 48000.0;
   double deadline_ms = 0.0;  ///< 0 = no deadline
-  /// serve::workload_index value: 0 = EarSonar (Chunk frames carry audio
-  /// samples), 1 = wideband absorbance (Chunk frames carry curve bins).
-  /// Wire back-compat: a legacy 16-byte Hello decodes as workload 0, so old
-  /// clients keep working against new servers (docs/workloads.md).
-  std::uint8_t workload = 0;
+  /// Byte 16 of the 17-byte Hello: a reserved tag that must be 0.
+  /// decode_hello rejects any other value; a 16-byte Hello (no tag byte)
+  /// still decodes.
+  std::uint8_t tag = 0;
 };
 
 struct HelloAckPayload {

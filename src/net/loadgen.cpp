@@ -13,10 +13,8 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "core/wideband.hpp"
 #include "net/client.hpp"
 #include "net/shard.hpp"
-#include "sim/absorbance.hpp"
 #include "sim/probe.hpp"
 
 namespace earsonar::net {
@@ -29,7 +27,6 @@ using Clock = std::chrono::steady_clock;
 struct Record {
   SessionOutcome::Kind kind = SessionOutcome::Kind::kTransport;
   std::uint16_t code = 0;
-  std::uint8_t workload = 0;  ///< serve::workload_index of this session
   double latency_ms = 0.0;
   std::size_t attempts = 1;
   Clock::time_point finished{};  ///< for the post-recovery tail split
@@ -59,40 +56,6 @@ std::vector<audio::Waveform> build_population(const LoadGenConfig& config) {
         sim::reference_earphone(), {}, rng));
   }
   return recordings;
-}
-
-/// The absorbance half of the population: one wideband curve per subject,
-/// cycled through the effusion states like the recordings. The curve rides
-/// the Waveform container unresampled (SessionOptions::workload tells the
-/// client the values are bins, not audio).
-std::vector<audio::Waveform> build_absorbance_population(
-    const LoadGenConfig& config) {
-  sim::SubjectFactory factory(static_cast<std::uint32_t>(config.seed));
-  const std::vector<double> grid = core::wideband_frequency_grid();
-  const auto states = sim::all_effusion_states();
-  std::vector<audio::Waveform> curves;
-  curves.reserve(config.population);
-  for (std::size_t i = 0; i < config.population; ++i) {
-    Rng rng(splitmix64(config.seed * 1000003ULL + i) ^ 0xab5ULL);
-    curves.emplace_back(
-        sim::absorbance_curve_state(factory.make(static_cast<std::uint32_t>(i)),
-                                    states[i % states.size()], /*session=*/0,
-                                    grid, rng),
-        48000.0);
-  }
-  return curves;
-}
-
-/// Seeded per-session workload assignment: session i is absorbance with
-/// probability `workload_mix`, independent of worker scheduling, so one seed
-/// always replays one interleaving.
-std::vector<std::uint8_t> build_workloads(const LoadGenConfig& config) {
-  std::vector<std::uint8_t> workloads(config.sessions, 0);
-  if (config.workload_mix <= 0.0) return workloads;
-  Rng rng(splitmix64(config.seed ^ 0x3a1f00dULL));
-  for (std::uint8_t& w : workloads)
-    w = rng.bernoulli(config.workload_mix) ? 1 : 0;
-  return workloads;
 }
 
 /// Poisson arrival offsets (seconds from run start), optionally modulated by
@@ -247,17 +210,11 @@ void LoadGenConfig::validate() const {
   require(read_timeout_ms >= 0, "LoadGenConfig: read_timeout_ms must be >= 0");
   require(!chaos || chaos_events >= 1,
           "LoadGenConfig: chaos needs chaos_events >= 1");
-  require(workload_mix >= 0.0 && workload_mix <= 1.0,
-          "LoadGenConfig: workload_mix must be in [0, 1]");
 }
 
 LoadReport run_loadgen(const LoadGenConfig& config) {
   config.validate();
   const std::vector<audio::Waveform> population = build_population(config);
-  const std::vector<std::uint8_t> workloads = build_workloads(config);
-  const std::vector<audio::Waveform> absorbance_population =
-      config.workload_mix > 0.0 ? build_absorbance_population(config)
-                                : std::vector<audio::Waveform>{};
   const std::vector<double> arrivals =
       config.open_loop ? build_arrivals(config) : std::vector<double>{};
 
@@ -275,9 +232,6 @@ LoadReport run_loadgen(const LoadGenConfig& config) {
   // dropped after a transport failure so the next session reconnects).
   const auto run_one = [&](std::size_t i, std::unique_ptr<NetClient>& client) {
     Record record;
-    // Tag before the try so a thrown dial still lands in the right per-type
-    // bucket. Recovery top-up sessions (i >= sessions) cycle the schedule.
-    record.workload = workloads[i % workloads.size()];
     const auto scheduled =
         config.open_loop && i < config.sessions
             ? t0 + std::chrono::duration_cast<Clock::duration>(
@@ -289,17 +243,12 @@ LoadReport run_loadgen(const LoadGenConfig& config) {
         client = std::make_unique<NetClient>(config.host, config.port,
                                              config.connect_timeout_ms,
                                              config.read_timeout_ms);
-      const bool absorbance = record.workload != 0;
       SessionOptions options;
       options.session_id = i + 1;
       options.chunk_samples = config.chunk_samples;
-      // Pacing models audio capture cadence; a 64-bin curve arrives whole.
-      options.chunk_period_s = absorbance ? 0.0 : chunk_period_s;
+      options.chunk_period_s = chunk_period_s;
       options.deadline_ms = config.deadline_ms;
-      options.workload = record.workload;
-      const audio::Waveform& payload =
-          absorbance ? absorbance_population[i % absorbance_population.size()]
-                     : population[i % population.size()];
+      const audio::Waveform& payload = population[i % population.size()];
       SessionOutcome outcome;
       if (config.max_attempts > 1) {
         RetryPolicy policy;
@@ -384,19 +333,15 @@ LoadReport run_loadgen(const LoadGenConfig& config) {
     for (const Record& record : records) {
       ++report.attempted;
       report.retry_attempts += record.attempts - 1;
-      WorkloadLoad& slice = report.per_workload[record.workload % 2];
-      ++slice.attempted;
       if (recovered(record)) recovered_latencies.push_back(record.latency_ms);
       switch (record.kind) {
         case SessionOutcome::Kind::kResult:
           ++report.admitted;
           ++report.completed;
-          ++slice.completed;
           completed_latencies.push_back(record.latency_ms);
           break;
         case SessionOutcome::Kind::kRejected:
           ++report.rejected;
-          ++slice.rejected;
           if (record.code ==
               static_cast<std::uint16_t>(RejectCode::kShardSessionsFull))
             ++report.rejected_sessions_full;
@@ -405,14 +350,12 @@ LoadReport run_loadgen(const LoadGenConfig& config) {
           break;
         case SessionOutcome::Kind::kError:
           ++report.errored;
-          ++slice.errored;
           if (record.code ==
               static_cast<std::uint16_t>(ErrorCode::kDeadlineExceeded))
             ++report.deadline_exceeded;
           break;
         case SessionOutcome::Kind::kTransport:
           ++report.transport_failures;
-          ++slice.transport_failures;
           break;
       }
     }
@@ -442,13 +385,6 @@ LoadReport run_loadgen(const LoadGenConfig& config) {
       report.attempted == report.completed + report.rejected + report.errored +
                               report.transport_failures &&
       !(report.completed == 0 && report.attempted > 0);
-  // The same exactness must hold inside every workload slice — a session
-  // that terminated under the wrong type tag is an accounting bug even when
-  // the totals happen to balance.
-  for (const WorkloadLoad& slice : report.per_workload)
-    if (slice.attempted != slice.completed + slice.rejected + slice.errored +
-                               slice.transport_failures)
-      report.accounting_ok = false;
 
   try {
     NetClient stats_client(config.host, config.port);
@@ -475,15 +411,6 @@ std::string LoadReport::text() const {
   out << "latency ms: p50 " << text_or_na(p50_ms) << ", p99 "
       << text_or_na(p99_ms) << ", p999 " << text_or_na(p999_ms) << ", max "
       << text_or_na(max_ms) << "\n";
-  const char* kWorkloadNames[] = {"earsonar", "absorbance"};
-  for (std::size_t w = 0; w < per_workload.size(); ++w) {
-    const WorkloadLoad& slice = per_workload[w];
-    if (slice.attempted == 0 && w != 0) continue;  // no absorbance traffic ran
-    out << "workload " << kWorkloadNames[w] << ": " << slice.attempted
-        << " attempted, " << slice.completed << " completed, "
-        << slice.rejected << " rejected, " << slice.errored << " errored, "
-        << slice.transport_failures << " transport\n";
-  }
   if (retry_attempts > 0)
     out << "retries: " << retry_attempts << " extra attempts\n";
   if (chaos_events_fired > 0) {
@@ -530,18 +457,7 @@ std::string LoadReport::json() const {
       << ", \"p99_recovered_ms\": " << json_or_null(p99_recovered_ms)
       << ", \"recovered_samples\": " << recovered_samples
       << ", \"recovery_sessions\": " << recovery_sessions
-      << ", \"workloads\": {";
-  const char* kWorkloadNames[] = {"earsonar", "absorbance"};
-  for (std::size_t w = 0; w < per_workload.size(); ++w) {
-    const WorkloadLoad& slice = per_workload[w];
-    out << (w ? ", " : "") << "\"" << kWorkloadNames[w]
-        << "\": {\"attempted\": " << slice.attempted
-        << ", \"completed\": " << slice.completed
-        << ", \"rejected\": " << slice.rejected
-        << ", \"errored\": " << slice.errored
-        << ", \"transport_failures\": " << slice.transport_failures << "}";
-  }
-  out << "}, \"shards\": [";
+      << ", \"shards\": [";
   for (std::size_t s = 0; s < server.shards.size(); ++s) {
     const ShardStatsWire& shard = server.shards[s];
     out << (s ? ", " : "") << "{\"accepted\": " << shard.accepted

@@ -108,17 +108,9 @@ namespace {
 struct OpenSession {
   std::size_t shard = 0;
   std::uint64_t epoch = 0;
-  serve::WorkloadType workload = serve::WorkloadType::kEarSonar;
-  std::unique_ptr<serve::StreamingSession> session;  ///< EarSonar sessions only
-  /// Absorbance sessions accumulate their curve bins here (Chunk frames carry
-  /// doubles either way; the workload tag decides what they mean).
-  std::vector<double> absorbance;
+  std::unique_ptr<serve::StreamingSession> session;
   double deadline_ms = 0.0;
 };
-
-/// Bins an absorbance session may accumulate before kStreamOverflow — far
-/// above any real wideband grid (64 bins), it only bounds a hostile peer.
-constexpr std::size_t kMaxAbsorbanceBins = 4096;
 
 }  // namespace
 
@@ -244,11 +236,7 @@ void NetServer::serve_connection(Connection& connection) {
         }
         const serve::EngineConfig& engine_config = pool_.engine_config();
         const double rate = engine_config.session.pipeline.chirp.sample_rate;
-        const auto workload = serve::workload_from_index(hello->workload);
-        // Absorbance chunks carry curve bins, not audio — the pipeline rate
-        // does not constrain them, so the rate handshake only gates EarSonar.
-        if (workload == serve::WorkloadType::kEarSonar &&
-            hello->sample_rate != rate) {
+        if (hello->sample_rate != rate) {
           // The client resamples before streaming (that is what keeps the
           // result bit-identical to the in-process path); a mismatched rate
           // means a misconfigured client, not something to fix up silently.
@@ -265,10 +253,8 @@ void NetServer::serve_connection(Connection& connection) {
             OpenSession open;
             open.shard = shard;
             open.epoch = epoch;
-            open.workload = workload;
-            if (workload == serve::WorkloadType::kEarSonar)
-              open.session = std::make_unique<serve::StreamingSession>(
-                  engine_config.session);
+            open.session =
+                std::make_unique<serve::StreamingSession>(engine_config.session);
             open.deadline_ms = hello->deadline_ms > 0.0
                                    ? hello->deadline_ms
                                    : config_.default_deadline_ms;
@@ -334,18 +320,7 @@ void NetServer::serve_connection(Connection& connection) {
         const std::span<const double> samples(arena.data(),
                                               header.payload_len / sizeof(double));
         const std::size_t shard = it->second.shard;
-        if (it->second.workload == serve::WorkloadType::kAbsorbance) {
-          // Absorbance chunks are curve bins; accumulate them for the Finish.
-          std::vector<double>& curve = it->second.absorbance;
-          if (curve.size() + samples.size() > kMaxAbsorbanceBins) {
-            send_error(sid, ErrorCode::kStreamOverflow,
-                       "absorbance curve too long");
-            close_session(sid);
-            break;
-          }
-          curve.insert(curve.end(), samples.begin(), samples.end());
-        } else if (it->second.session->feed(samples) ==
-                   serve::FeedStatus::kRejected) {
+        if (it->second.session->feed(samples) == serve::FeedStatus::kRejected) {
           send_error(sid, ErrorCode::kStreamOverflow,
                      "session sample buffer full");
           close_session(sid);
@@ -376,11 +351,7 @@ void NetServer::serve_connection(Connection& connection) {
           request.id = id.str();
         }
         request.timeout_ms = it->second.deadline_ms;
-        request.workload = it->second.workload;
-        if (it->second.workload == serve::WorkloadType::kAbsorbance)
-          request.absorbance = std::move(it->second.absorbance);
-        else
-          request.session = std::move(it->second.session);
+        request.session = std::move(it->second.session);
         // Snapshot the engine once: a restart may swap the shard's engine
         // pointer while this Finish is in flight, and the snapshot keeps the
         // old engine (whose stop() resolves our future) alive until we have

@@ -230,10 +230,6 @@ class ShardPool {
   /// a supervisor restart can reinstall it into the replacement engine.
   void install_model(const core::DetectorModel& model, const std::string& source);
 
-  /// Same contract for the absorbance workload's wideband screener: installed
-  /// into every live shard, remembered for restart reinstall.
-  void install_wideband(std::shared_ptr<const core::WidebandScreener> model);
-
   /// Per-shard counters in wire form (what a kStatsReply carries).
   [[nodiscard]] StatsPayload stats() const;
 
@@ -285,7 +281,6 @@ class ShardPool {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::shared_ptr<const core::DetectorModel> model_;  ///< for restart reinstall
   std::string model_source_;
-  std::shared_ptr<const core::WidebandScreener> wideband_;  ///< ditto
   std::atomic<std::uint64_t> resizes_{0};
   std::thread supervisor_;
   std::atomic<bool> running_{false};

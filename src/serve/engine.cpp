@@ -89,7 +89,6 @@ void ServingEngine::stop() {
 
 Submission ServingEngine::submit(ServeRequest request) {
   Submission submission;
-  const std::size_t widx = workload_index(request.workload);
   if (!running_.load()) {
     metrics_.rejected_stopped.fetch_add(1, std::memory_order_relaxed);
     submission.reason = "engine not running";
@@ -118,22 +117,9 @@ Submission ServingEngine::submit(ServeRequest request) {
     return submission;
   }
   metrics_.accepted.fetch_add(1, std::memory_order_relaxed);
-  metrics_.workload[widx].accepted.fetch_add(1, std::memory_order_relaxed);
   metrics_.queue_depth.fetch_add(1, std::memory_order_relaxed);
   submission.accepted = true;
   return submission;
-}
-
-std::uint64_t ServingEngine::install_wideband(
-    std::shared_ptr<const core::WidebandScreener> model) {
-  std::unique_lock lock(wideband_mutex_);
-  wideband_ = std::move(model);
-  return wideband_version_.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
-std::shared_ptr<const core::WidebandScreener> ServingEngine::wideband_model() const {
-  std::shared_lock lock(wideband_mutex_);
-  return wideband_;
 }
 
 void ServingEngine::worker_loop() {
@@ -183,78 +169,30 @@ std::optional<CancelToken> ServingEngine::admit_dequeued(Job& job,
     shed.id = job.request.id;
     shed.deadline_exceeded = true;
     shed.error = "deadline_exceeded: shed at dequeue";
-    shed.workload = job.request.workload;
     shed.queue_ms = queue_ms;
     shed.total_ms = ms_since(job.enqueued);
     metrics_.deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
-    metrics_.workload[workload_index(job.request.workload)]
-        .deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
     job.promise.set_value(std::move(shed));
     return std::nullopt;
   }
   return cancel;
 }
 
-void ServingEngine::handle_absorbance(Job& job, double queue_ms) {
-  obs::Span request_span("serve_request", "serve");
-  ServeResult result;
-  try {
-    result = process_absorbance(job.request);
-  } catch (...) {
-    result = error_result(job.request.id, std::current_exception());
-  }
-  finish_job(job, std::move(result), queue_ms);
-}
-
 void ServingEngine::finish_job(Job& job, ServeResult result, double queue_ms) {
-  result.workload = job.request.workload;
-  ServeMetrics::WorkloadCounters& per_type =
-      metrics_.workload[workload_index(job.request.workload)];
   result.queue_ms = queue_ms;
   result.total_ms = ms_since(job.enqueued);
   metrics_.latency.total.record(result.total_ms);
   if (result.deadline_exceeded) {
     metrics_.deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
-    per_type.deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
   } else if (!result.error.empty()) {
     metrics_.failed.fetch_add(1, std::memory_order_relaxed);
-    per_type.failed.fetch_add(1, std::memory_order_relaxed);
   } else {
     metrics_.completed.fetch_add(1, std::memory_order_relaxed);
-    per_type.completed.fetch_add(1, std::memory_order_relaxed);
     if (!result.usable) metrics_.no_echo.fetch_add(1, std::memory_order_relaxed);
     if (result.quality.degraded)
       metrics_.degraded.fetch_add(1, std::memory_order_relaxed);
   }
   job.promise.set_value(std::move(result));
-}
-
-ServeResult ServingEngine::process_absorbance(const ServeRequest& request) {
-  ServeResult result;
-  result.id = request.id;
-  result.workload = WorkloadType::kAbsorbance;
-  require(request.session == nullptr,
-          "absorbance request must not carry a streaming session");
-  if (request.absorbance.empty()) {
-    // Mirrors an EarSonar recording with no segmentable echo: the request
-    // completes, but there is nothing to classify.
-    result.usable = false;
-    return result;
-  }
-  result.usable = true;
-  result.features = request.absorbance;  // what a remote caller verifies against
-  if (std::shared_ptr<const core::WidebandScreener> model = wideband_model()) {
-    obs::Span inference_span("inference", "serve");
-    result.diagnosis = model->classify(request.absorbance);
-    inference_span.end();
-    result.timings.inference_ms = inference_span.elapsed_ms();
-    metrics_.latency.inference.record(result.timings.inference_ms);
-    metrics_.inferences.fetch_add(1, std::memory_order_relaxed);
-    result.model_version = wideband_version();
-    stage_graph_.record(pipeline::StageId::kInference,
-                        result.timings.inference_ms, 1, false);
-  }
-  return result;
 }
 
 ServeResult ServingEngine::finalize_analysis(const std::string& id,
@@ -306,54 +244,27 @@ void ServingEngine::process_batch(std::vector<Job> batch) {
   }
   if (live.empty()) return;
 
-  // Partition by workload type FIRST: a pipeline batch never mixes types
-  // (docs/workloads.md). Absorbance jobs form their own type-pure group —
-  // they have no waveform to ingest, so they never enter feed_many /
-  // finish_many. Paced EarSonar jobs (chunk_period_s > 0) hold wall-clock
-  // sleeps between chunks; sharing a batch would stall their lane-mates, so
-  // each runs as its own batch of one.
-  std::vector<Admitted> earsonar;    ///< EarSonar jobs for one pipeline batch
-  std::vector<Admitted> absorbance;  ///< type-pure absorbance group
-  earsonar.reserve(live.size());
+  // Paced jobs (chunk_period_s > 0) hold wall-clock sleeps between chunks;
+  // sharing a batch would stall their lane-mates, so each runs as its own
+  // batch of one.
+  std::vector<Admitted> unpaced;
+  unpaced.reserve(live.size());
   for (const Admitted& a : live) {
     const ServeRequest& request = a.job->request;
-    if (request.workload == WorkloadType::kAbsorbance)
-      absorbance.push_back(a);
-    else if (request.session == nullptr && request.chunk_period_s > 0.0)
+    if (request.session == nullptr && request.chunk_period_s > 0.0)
       run_earsonar({&a, 1});
     else
-      earsonar.push_back(a);
+      unpaced.push_back(a);
   }
-  if (!absorbance.empty()) {
-    ServeMetrics::WorkloadCounters& per_type =
-        metrics_.workload[workload_index(WorkloadType::kAbsorbance)];
-    if (absorbance.size() > 1) {
-      per_type.batches.fetch_add(1, std::memory_order_relaxed);
-      per_type.batched_requests.fetch_add(absorbance.size(),
-                                          std::memory_order_relaxed);
-    }
-    for (const Admitted& a : absorbance) {
-      ensure(a.job->request.workload == WorkloadType::kAbsorbance,
-             "batch type purity violated: non-absorbance job in absorbance group");
-      handle_absorbance(*a.job, a.queue_ms);
-    }
-  }
-  if (!earsonar.empty()) run_earsonar(earsonar);
+  if (!unpaced.empty()) run_earsonar(unpaced);
 }
 
 void ServingEngine::run_earsonar(std::span<const Admitted> group) {
   obs::Span request_span("serve_batch", "serve");
   request_span.set_arg("requests", static_cast<std::int64_t>(group.size()));
-  for (const Admitted& a : group)
-    ensure(a.job->request.workload == WorkloadType::kEarSonar,
-           "batch type purity violated: non-EarSonar job in pipeline batch");
   if (group.size() > 1) {
     metrics_.batches.fetch_add(1, std::memory_order_relaxed);
     metrics_.batched_requests.fetch_add(group.size(), std::memory_order_relaxed);
-    ServeMetrics::WorkloadCounters& per_type =
-        metrics_.workload[workload_index(WorkloadType::kEarSonar)];
-    per_type.batches.fetch_add(1, std::memory_order_relaxed);
-    per_type.batched_requests.fetch_add(group.size(), std::memory_order_relaxed);
   }
 
   // --- Ingest: jobs that arrived as whole recordings stream into fresh
@@ -491,7 +402,6 @@ std::string ServingEngine::metrics_snapshot() const {
   out << "earsonar_serve_batch_max " << config_.batch_max << "\n";
   out << "earsonar_serve_batch_wait_us " << config_.batch_wait_us << "\n";
   out << "earsonar_serve_model_version " << registry_.version() << "\n";
-  out << "earsonar_serve_wideband_model_version " << wideband_version() << "\n";
   const obs::TraceRecorder& recorder = obs::TraceRecorder::instance();
   out << "earsonar_serve_trace_enabled " << (recorder.enabled() ? 1 : 0) << "\n";
   out << "earsonar_serve_trace_spans_total " << recorder.size() << "\n";

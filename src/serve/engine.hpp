@@ -34,7 +34,6 @@
 #include <future>
 #include <memory>
 #include <optional>
-#include <shared_mutex>
 #include <span>
 #include <string>
 #include <thread>
@@ -43,13 +42,11 @@
 #include "audio/waveform.hpp"
 #include "core/detector.hpp"
 #include "core/pipeline.hpp"
-#include "core/wideband.hpp"
 #include "pipeline/stage_graph.hpp"
 #include "serve/metrics.hpp"
 #include "serve/queue.hpp"
 #include "serve/registry.hpp"
 #include "serve/streaming.hpp"
-#include "serve/workload.hpp"
 
 namespace earsonar::serve {
 
@@ -86,14 +83,6 @@ struct EngineConfig {
 struct ServeRequest {
   std::string id;                 ///< caller's tag, echoed in the result
   audio::Waveform recording;      ///< any sample rate; resampled like analyze()
-  /// Which screening this request is (docs/workloads.md). kEarSonar requests
-  /// carry `recording`/`session`; kAbsorbance requests carry `absorbance`.
-  /// Declared after `recording` so `{id, recording}` aggregate init keeps
-  /// meaning "an EarSonar request".
-  WorkloadType workload = WorkloadType::kEarSonar;
-  /// kAbsorbance payload: the measured 226 Hz-8 kHz absorbance curve (one
-  /// value per wideband grid bin; length checked against the loaded model).
-  std::vector<double> absorbance;
   std::size_t chunk_samples = 0;  ///< 0 = engine default
   /// Seconds between chunk arrivals (0 = backlogged upload, feed immediately).
   /// Real-time device streaming = chunk_samples / sample_rate.
@@ -115,7 +104,6 @@ struct ServeRequest {
 
 struct ServeResult {
   std::string id;
-  WorkloadType workload = WorkloadType::kEarSonar;  ///< echoed from the request
   bool usable = false;  ///< an echo was segmented and features extracted
   std::optional<core::Diagnosis> diagnosis;  ///< set when usable and a model is loaded
   std::size_t events = 0;
@@ -166,19 +154,6 @@ class ServingEngine {
   /// The hot-swappable model store shared by all workers.
   [[nodiscard]] ModelRegistry& registry() { return registry_; }
 
-  /// Installs the wideband screener for the absorbance workload (same
-  /// reader-copies-the-shared_ptr discipline as ModelRegistry); returns the
-  /// new wideband model version. Absorbance requests processed while no
-  /// screener is installed complete usable but carry no diagnosis, mirroring
-  /// the EarSonar path before its first model install.
-  std::uint64_t install_wideband(std::shared_ptr<const core::WidebandScreener> model);
-
-  /// The active wideband screener, or nullptr before the first install.
-  [[nodiscard]] std::shared_ptr<const core::WidebandScreener> wideband_model() const;
-  [[nodiscard]] std::uint64_t wideband_version() const {
-    return wideband_version_.load(std::memory_order_relaxed);
-  }
-
   [[nodiscard]] const ServeMetrics& metrics() const { return metrics_; }
   /// Mutable access for collaborators that feed engine counters from outside
   /// the request path (e.g. the CLI's model reloader incrementing
@@ -215,22 +190,15 @@ class ServingEngine {
   };
 
   void worker_loop();
-  /// The absorbance workload's whole pipeline: classify the request's curve
-  /// with the installed wideband screener. No streaming session, no stage
-  /// graph — one scaler + softmax pass.
-  [[nodiscard]] ServeResult process_absorbance(const ServeRequest& request);
-  /// Dequeue-side bookkeeping shared by both workloads: records queue wait,
-  /// sheds the job (promise satisfied, nullopt returned) when its deadline
-  /// already expired, else hands back the request's cancel token.
+  /// Dequeue-side bookkeeping: records queue wait, sheds the job (promise
+  /// satisfied, nullopt returned) when its deadline already expired, else
+  /// hands back the request's cancel token.
   [[nodiscard]] std::optional<CancelToken> admit_dequeued(Job& job,
                                                           double& queue_ms);
-  /// process_absorbance() for one admitted job, with the error mapping and
-  /// completion metrics.
-  void handle_absorbance(Job& job, double queue_ms);
-  /// One collected batch: shed expired jobs, split off the absorbance group
-  /// and paced jobs, run the remaining EarSonar jobs as one batch.
+  /// One collected batch: shed expired jobs, split off paced jobs, run the
+  /// rest as one batch.
   void process_batch(std::vector<Job> batch);
-  /// One EarSonar batch of N >= 1 requests: shared feed_many ingest rounds,
+  /// One batch of N >= 1 requests: shared feed_many ingest rounds,
   /// one finish_many pass, then per-request inference and completion.
   void run_earsonar(std::span<const Admitted> group);
   /// Result assembly from one analysis, stage-latency metrics, and inference.
@@ -242,11 +210,6 @@ class ServingEngine {
 
   EngineConfig config_;
   ModelRegistry registry_;
-  /// Wideband screener for the absorbance workload. Guarded like the model
-  /// registry: readers copy the shared_ptr under a shared lock.
-  mutable std::shared_mutex wideband_mutex_;
-  std::shared_ptr<const core::WidebandScreener> wideband_;
-  std::atomic<std::uint64_t> wideband_version_{0};
   ServeMetrics metrics_;
   pipeline::StageGraph stage_graph_;
   BoundedQueue<Job> queue_;

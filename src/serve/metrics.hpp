@@ -16,8 +16,6 @@
 #include <cstdint>
 #include <string>
 
-#include "serve/workload.hpp"
-
 namespace earsonar::serve {
 
 /// Log2-bucketed latency histogram. Bucket b covers [2^(b-10), 2^(b-9)) ms,
@@ -88,21 +86,6 @@ struct ServeMetrics {
   std::atomic<std::uint64_t> batches{0};
   std::atomic<std::uint64_t> batched_requests{0};
   std::atomic<std::uint64_t> batch_fallbacks{0};
-  /// Per-workload-type accounting (docs/workloads.md): the engine carries
-  /// mixed EarSonar + absorbance traffic; these split the request lifecycle
-  /// by type so per-type accounting is exact —
-  /// accepted == completed + failed + deadline_exceeded once drained —
-  /// and batch passes are provably type-pure (a pass only ever ticks one
-  /// type's batch counters).
-  struct WorkloadCounters {
-    std::atomic<std::uint64_t> accepted{0};
-    std::atomic<std::uint64_t> completed{0};
-    std::atomic<std::uint64_t> failed{0};
-    std::atomic<std::uint64_t> deadline_exceeded{0};
-    std::atomic<std::uint64_t> batches{0};           ///< type-pure batch passes
-    std::atomic<std::uint64_t> batched_requests{0};  ///< requests riding them
-  };
-  std::array<WorkloadCounters, kWorkloadTypeCount> workload;
   StageLatencies latency;
 
   /// End-to-end latency percentile (interpolated) for `p` in [0, 1] — the

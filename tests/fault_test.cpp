@@ -65,9 +65,17 @@ void write_model_file(const std::string& path) {
       << "mapping 2 0 2\n";
 }
 
+// One directory per test: ctest runs the cases of this file as parallel
+// processes, and a shared path let one test's teardown delete another's
+// model file mid-run.
 class TempDir {
  public:
-  TempDir() : path_(fs::temp_directory_path() / "earsonar_fault_test") {
+  TempDir()
+      : path_(fs::temp_directory_path() /
+              ("earsonar_fault_test_" +
+               std::string(testing::UnitTest::GetInstance()
+                               ->current_test_info()
+                               ->name()))) {
     fs::create_directories(path_);
   }
   ~TempDir() { fs::remove_all(path_); }

@@ -209,23 +209,26 @@ TEST(FrameCodecTest, TypedDecodersRejectTruncation) {
   const auto result = net::encode_result(net::ResultPayload{});
   EXPECT_FALSE(
       net::decode_result({result.data(), result.size() - 1}).has_value());
-  // Hello is special: dropping the workload byte yields the 16-byte legacy
-  // encoding, which MUST decode (as the EarSonar workload) for wire
-  // back-compat; dropping anything more is a truncation.
-  net::HelloPayload hello_in;
-  hello_in.workload = 1;
-  const auto hello = net::encode_hello(hello_in);
+  // Hello is special: byte 16 is a reserved tag that must be 0, and the
+  // 16-byte legacy encoding without it MUST still decode; dropping anything
+  // more is a truncation.
+  const auto hello = net::encode_hello({44100.0, 250.0, 0});
   ASSERT_EQ(hello.size(), 17u);
+  EXPECT_EQ(hello[16], 0);
   const auto tagged = net::decode_hello(hello);
   ASSERT_TRUE(tagged.has_value());
-  EXPECT_EQ(tagged->workload, 1);
+  EXPECT_EQ(tagged->sample_rate, 44100.0);
+  EXPECT_EQ(tagged->deadline_ms, 250.0);
   const auto legacy = net::decode_hello({hello.data(), 16});
   ASSERT_TRUE(legacy.has_value());
-  EXPECT_EQ(legacy->workload, 0);
+  EXPECT_EQ(legacy->sample_rate, 44100.0);
+  EXPECT_EQ(legacy->deadline_ms, 250.0);
   EXPECT_FALSE(net::decode_hello({hello.data(), 15}).has_value());
-  auto bad_workload = hello;
-  bad_workload[16] = 2;  // outside serve::kWorkloadTypeCount
-  EXPECT_FALSE(net::decode_hello(bad_workload).has_value());
+  for (const std::uint8_t tag : {1, 2}) {
+    auto bad_tag = hello;
+    bad_tag[16] = tag;
+    EXPECT_FALSE(net::decode_hello(bad_tag).has_value()) << "tag " << int{tag};
+  }
   EXPECT_FALSE(net::decode_stats(std::span<const std::uint8_t>{}).has_value());
 }
 
@@ -567,12 +570,35 @@ TEST(NetLoopbackTest, MalformedBytesGetErrorFrameAndServerSurvives) {
   EXPECT_EQ(status->code, static_cast<std::uint16_t>(net::ErrorCode::kBadFrame));
   EXPECT_EQ(server.stats().frames_malformed.load(), 1u);
 
-  // The poisoned connection died; the server keeps serving new ones.
+  // A well-framed Hello whose reserved tag byte is nonzero is a malformed
+  // payload, not a session.
+  net::TcpStream tagged = net::TcpStream::connect("127.0.0.1", server.port());
+  net::write_frame(tagged, net::FrameType::kHello, 5,
+                   net::encode_hello({48000.0, 0.0, 1}));
+  const net::ReadFrameResult hello_reply = net::read_frame(tagged, arena);
+  ASSERT_EQ(hello_reply.kind, net::ReadFrameResult::Kind::kFrame);
+  EXPECT_EQ(hello_reply.header.type, net::FrameType::kError);
+  const auto hello_status =
+      net::decode_status(net::payload_bytes(arena, hello_reply.header));
+  ASSERT_TRUE(hello_status.has_value());
+  EXPECT_EQ(hello_status->code,
+            static_cast<std::uint16_t>(net::ErrorCode::kBadFrame));
+
+  // The poisoned connection died; the server keeps serving new ones, and
+  // their answers are still the in-process pipeline's, bit for bit.
+  const audio::Waveform recording = test_recording();
+  const core::EchoAnalysis reference =
+      core::EarSonar(causal_config()).analyze(recording);
+  ASSERT_TRUE(reference.usable());
   net::NetClient client("127.0.0.1", server.port());
   net::SessionOptions options;
   options.session_id = 9;
-  EXPECT_EQ(client.run_session(test_recording(), options).kind,
-            net::SessionOutcome::Kind::kResult);
+  const net::SessionOutcome outcome = client.run_session(recording, options);
+  ASSERT_EQ(outcome.kind, net::SessionOutcome::Kind::kResult) << outcome.message;
+  ASSERT_EQ(outcome.result.features.size(), reference.features.size());
+  for (std::size_t i = 0; i < reference.features.size(); ++i)
+    EXPECT_EQ(outcome.result.features[i], reference.features[i])
+        << "feature " << i;
   server.stop();
 }
 

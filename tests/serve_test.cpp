@@ -16,14 +16,12 @@
 #include "common/rng.hpp"
 #include "core/model_io.hpp"
 #include "core/pipeline.hpp"
-#include "core/wideband.hpp"
 #include "serve/engine.hpp"
 #include "serve/metrics.hpp"
 #include "serve/queue.hpp"
 #include "serve/registry.hpp"
 #include "serve/ring_buffer.hpp"
 #include "serve/streaming.hpp"
-#include "sim/absorbance.hpp"
 #include "sim/dataset.hpp"
 #include "sim/probe.hpp"
 
@@ -760,183 +758,6 @@ TEST(ServingEngineChaosTest, DegradedRequestCompletesAndIsCounted) {
   const std::string snapshot = engine.metrics_snapshot();
   EXPECT_NE(snapshot.find("earsonar_serve_requests_degraded_total 1"),
             std::string::npos);
-}
-
-// ------------------------------------------------------- mixed workloads
-
-// A fitted wideband screener plus labeled replay curves for the absorbance
-// workload tests.
-struct WidebandFixture {
-  std::shared_ptr<core::WidebandScreener> screener;
-  std::vector<std::vector<double>> curves;  ///< one per effusion state
-};
-
-WidebandFixture wideband_fixture() {
-  WidebandFixture fx;
-  const std::vector<double> grid = core::wideband_frequency_grid();
-  const auto dataset = sim::absorbance_dataset(10, 2, grid, 42);
-  fx.screener = std::make_shared<core::WidebandScreener>();
-  fx.screener->fit(dataset.curves, dataset.labels);
-  const sim::Subject subject = sim::SubjectFactory(99).make(0);
-  Rng rng(123);
-  for (sim::EffusionState state : sim::all_effusion_states())
-    fx.curves.push_back(sim::absorbance_curve_state(subject, state, 0, grid, rng));
-  return fx;
-}
-
-TEST(MixedWorkloadTest, AbsorbanceRequestsMatchDirectClassification) {
-  const WidebandFixture fx = wideband_fixture();
-  serve::ServingEngine engine(small_engine(2, 8));
-  engine.install_wideband(fx.screener);
-  engine.start();
-  for (const std::vector<double>& curve : fx.curves) {
-    serve::ServeRequest request;
-    request.id = "abs";
-    request.workload = serve::WorkloadType::kAbsorbance;
-    request.absorbance = curve;
-    serve::Submission sub = engine.submit(std::move(request));
-    ASSERT_TRUE(sub.accepted) << sub.reason;
-    const serve::ServeResult result = sub.result.get();
-    EXPECT_TRUE(result.error.empty()) << result.error;
-    EXPECT_EQ(result.workload, serve::WorkloadType::kAbsorbance);
-    ASSERT_TRUE(result.usable);
-    ASSERT_TRUE(result.diagnosis.has_value());
-    const core::Diagnosis direct = fx.screener->classify(curve);
-    EXPECT_EQ(result.diagnosis->state, direct.state);
-    EXPECT_DOUBLE_EQ(result.diagnosis->confidence, direct.confidence);
-  }
-  engine.stop();
-}
-
-TEST(MixedWorkloadTest, AbsorbanceWithoutModelCompletesWithoutDiagnosis) {
-  // Mirrors the EarSonar path before its first model install: the request
-  // completes (curve echoed in features) but carries no diagnosis. An empty
-  // curve is the unusable case.
-  serve::ServingEngine engine(small_engine(1, 4));
-  engine.start();
-  serve::ServeRequest request;
-  request.id = "no-model";
-  request.workload = serve::WorkloadType::kAbsorbance;
-  request.absorbance.assign(core::kWidebandBins, 0.5);
-  serve::Submission sub = engine.submit(std::move(request));
-  ASSERT_TRUE(sub.accepted) << sub.reason;
-  const serve::ServeResult result = sub.result.get();
-
-  serve::ServeRequest empty;
-  empty.id = "empty";
-  empty.workload = serve::WorkloadType::kAbsorbance;
-  serve::Submission empty_sub = engine.submit(std::move(empty));
-  ASSERT_TRUE(empty_sub.accepted) << empty_sub.reason;
-  const serve::ServeResult empty_result = empty_sub.result.get();
-  engine.stop();
-
-  EXPECT_TRUE(result.usable);
-  EXPECT_FALSE(result.diagnosis.has_value());
-  EXPECT_EQ(result.model_version, 0u);
-  EXPECT_FALSE(empty_result.usable);
-}
-
-TEST(MixedWorkloadTest, MixedTrafficBatchesAreTypePureWithExactCounters) {
-  const WidebandFixture fx = wideband_fixture();
-  const audio::Waveform recording = test_recording();
-
-  serve::EngineConfig cfg = small_engine(1, 32);
-  cfg.batch_max = 16;
-  cfg.batch_wait_us = 0;  // batch whatever is queued, no linger needed
-  serve::ServingEngine engine(cfg);
-  engine.registry().install(tiny_model(), "test");
-  engine.install_wideband(fx.screener);
-  engine.start();
-
-  // Occupy the single worker with a paced session so the mixed backlog
-  // accumulates in the queue; when the worker returns it collects the whole
-  // backlog as one batch and must partition it into type-pure groups.
-  serve::ServeRequest pacer;
-  pacer.id = "pacer";
-  pacer.recording = recording;
-  pacer.chunk_period_s = 0.01;
-  serve::Submission pace = engine.submit(std::move(pacer));
-  ASSERT_TRUE(pace.accepted) << pace.reason;
-
-  constexpr std::size_t kPerType = 4;
-  std::vector<std::future<serve::ServeResult>> futures;
-  for (std::size_t i = 0; i < kPerType; ++i) {
-    serve::Submission ear = engine.submit(
-        upload("ear" + std::to_string(i), recording));
-    ASSERT_TRUE(ear.accepted) << ear.reason;
-    futures.push_back(std::move(ear.result));
-    serve::ServeRequest abs;
-    abs.id = "abs" + std::to_string(i);
-    abs.workload = serve::WorkloadType::kAbsorbance;
-    abs.absorbance = fx.curves[i % fx.curves.size()];
-    serve::Submission sub = engine.submit(std::move(abs));
-    ASSERT_TRUE(sub.accepted) << sub.reason;
-    futures.push_back(std::move(sub.result));
-  }
-
-  std::size_t ear_seen = 0, abs_seen = 0;
-  (void)pace.result.get();
-  for (auto& f : futures) {
-    const serve::ServeResult result = f.get();
-    EXPECT_TRUE(result.error.empty()) << result.id << ": " << result.error;
-    EXPECT_TRUE(result.usable) << result.id;
-    if (result.workload == serve::WorkloadType::kAbsorbance)
-      ++abs_seen;
-    else
-      ++ear_seen;
-  }
-  engine.stop();
-  EXPECT_EQ(ear_seen, kPerType);
-  EXPECT_EQ(abs_seen, kPerType);
-
-  // Exact per-type accounting: accepted == completed for both types, with
-  // the pacer on the EarSonar side, and no cross-type leakage.
-  const serve::ServeMetrics& m = engine.metrics();
-  const auto& ear_counters =
-      m.workload[serve::workload_index(serve::WorkloadType::kEarSonar)];
-  const auto& abs_counters =
-      m.workload[serve::workload_index(serve::WorkloadType::kAbsorbance)];
-  EXPECT_EQ(ear_counters.accepted.load(), kPerType + 1);
-  EXPECT_EQ(ear_counters.completed.load(), kPerType + 1);
-  EXPECT_EQ(abs_counters.accepted.load(), kPerType);
-  EXPECT_EQ(abs_counters.completed.load(), kPerType);
-  EXPECT_EQ(ear_counters.failed.load(), 0u);
-  EXPECT_EQ(abs_counters.failed.load(), 0u);
-
-  // Type purity is enforced by ensure() inside process_batch (a violation
-  // fails the request); observably, every batch pass ticked exactly one
-  // type's counters and each type's batched requests are bounded by its own
-  // traffic — absorbance rides never count toward EarSonar batches.
-  EXPECT_LE(ear_counters.batched_requests.load(), kPerType);
-  EXPECT_LE(abs_counters.batched_requests.load(), kPerType);
-  if (abs_counters.batches.load() > 0) {
-    EXPECT_GE(abs_counters.batched_requests.load(), 2u);
-  }
-  if (ear_counters.batches.load() > 0) {
-    EXPECT_GE(ear_counters.batched_requests.load(), 2u);
-  }
-
-  const std::string snapshot = engine.metrics_snapshot();
-  EXPECT_NE(snapshot.find("earsonar_serve_workload_requests_total{"
-                          "workload=\"absorbance\",outcome=\"completed\"} 4"),
-            std::string::npos)
-      << snapshot;
-  EXPECT_NE(snapshot.find("workload=\"earsonar\",outcome=\"completed\"} 5"),
-            std::string::npos)
-      << snapshot;
-  EXPECT_NE(snapshot.find("earsonar_serve_wideband_model_version 1"),
-            std::string::npos);
-}
-
-TEST(MixedWorkloadTest, WidebandHotSwapBumpsVersion) {
-  const WidebandFixture fx = wideband_fixture();
-  serve::ServingEngine engine(small_engine(1, 4));
-  EXPECT_EQ(engine.wideband_version(), 0u);
-  EXPECT_EQ(engine.wideband_model(), nullptr);
-  EXPECT_EQ(engine.install_wideband(fx.screener), 1u);
-  EXPECT_EQ(engine.install_wideband(fx.screener), 2u);
-  EXPECT_EQ(engine.wideband_version(), 2u);
-  EXPECT_NE(engine.wideband_model(), nullptr);
 }
 
 }  // namespace
